@@ -13,8 +13,7 @@
  *   - the relinearization transform budget: exactly L^2 forward NTT
  *     rows at a level with L primes (evaluation-domain keys);
  *   - the whole tower bit-identical across every available SIMD
- *     backend crossed with both lazy stage walks (fused radix-4 /
- *     unfused radix-2), with positive noise budget at the bottom.
+ *     backend, with positive noise budget at the bottom.
  *
  * The machine-readable JSON series for this workload comes from the
  * parameter-sweep driver (bench/sweep_params.cpp), which emits
@@ -39,7 +38,6 @@
 #include "he/bgv.h"
 #include "he/ciphertext_batch.h"
 #include "ntt/ntt_engine.h"
-#include "ntt/ntt_lazy.h"
 #include "simd/simd_backend.h"
 
 // ---------------------------------------------------------------------
@@ -212,8 +210,8 @@ BenchMain(int argc, char **argv)
 
     // ------------------------------------------------------------------
     // Correctness gate: the tower is bit-identical at every level under
-    // every available backend x stage walk, and still decryptable with
-    // headroom at the bottom.
+    // every available backend, and still decryptable with headroom at
+    // the bottom.
     // ------------------------------------------------------------------
     std::vector<simd::Backend> backends{simd::Backend::kScalar};
     if (simd::BackendAvailable(simd::Backend::kAvx2)) {
@@ -225,37 +223,29 @@ BenchMain(int argc, char **argv)
 
     std::vector<Ciphertext> reference;
     for (const simd::Backend backend : backends) {
-        for (const LazyWalk walk :
-             {LazyWalk::kFusedRadix4, LazyWalk::kRadix2}) {
-            simd::ForceBackend(backend);
-            ForceLazyWalk(walk);
-            std::vector<Ciphertext> levels =
-                RunTower(scheme, rk, ct_a, ct_b, depth);
-            simd::ResetBackend();
-            ResetLazyWalk();
-            if (reference.empty()) {
-                reference = std::move(levels);
-                continue;
-            }
-            for (std::size_t d = 0; d < depth; ++d) {
-                if (!BitIdentical(levels[d], reference[d])) {
-                    std::fprintf(
-                        stderr,
-                        "FAIL: tower diverged at level %zu on "
-                        "backend %s (%s walk)\n",
-                        d, simd::BackendName(backend),
-                        walk == LazyWalk::kRadix2 ? "radix-2"
-                                                  : "radix-4");
-                    return 1;
-                }
+        simd::ForceBackend(backend);
+        std::vector<Ciphertext> levels =
+            RunTower(scheme, rk, ct_a, ct_b, depth);
+        simd::ResetBackend();
+        if (reference.empty()) {
+            reference = std::move(levels);
+            continue;
+        }
+        for (std::size_t d = 0; d < depth; ++d) {
+            if (!BitIdentical(levels[d], reference[d])) {
+                std::fprintf(stderr,
+                             "FAIL: tower diverged at level %zu on "
+                             "backend %s\n",
+                             d, simd::BackendName(backend));
+                return 1;
             }
         }
     }
     const double bottom_budget =
         scheme.NoiseBudgetBits(sk, reference.back());
-    std::printf("cross-check: %zu backend/walk towers bit-identical at "
-                "all %zu levels; bottom noise budget %.1f bits\n",
-                backends.size() * 2, depth, bottom_budget);
+    std::printf("cross-check: %zu backend towers bit-identical at all "
+                "%zu levels; bottom noise budget %.1f bits\n",
+                backends.size(), depth, bottom_budget);
     if (bottom_budget <= 0.0) {
         std::fprintf(stderr, "FAIL: tower exhausted its noise budget\n");
         return 1;

@@ -256,17 +256,25 @@ BenchMain(int argc, char **argv)
     // ------------------------------------------------------------------
     bench::Section("simd backends (1 lane)");
     SetGlobalThreadCount(1);
+    // Per-backend columns are indexed by enum value, never by literal
+    // position, so the JSON writer stays in step with the Backend enum.
     constexpr std::size_t kBackends = simd::kBackendCount;
+    constexpr std::size_t kScalarSlot =
+        static_cast<std::size_t>(simd::Backend::kScalar);
+    constexpr std::size_t kAvx2Slot =
+        static_cast<std::size_t>(simd::Backend::kAvx2);
+    constexpr std::size_t kAvx512Slot =
+        static_cast<std::size_t>(simd::Backend::kAvx512);
+    constexpr std::size_t kNeonSlot =
+        static_cast<std::size_t>(simd::Backend::kNeon);
     const bool avx2_available =
         simd::BackendAvailable(simd::Backend::kAvx2);
     const bool avx512_available =
         simd::BackendAvailable(simd::Backend::kAvx512);
-    const bool avx512ifma_available =
-        simd::BackendAvailable(simd::Backend::kAvx512Ifma);
     const bool neon_available =
         simd::BackendAvailable(simd::Backend::kNeon);
     double ntt_backend_ns[kBackends] = {};    // fused radix-4 walker
-    double ntt_radix2_ns[kBackends] = {};     // radix-2 ablation walk
+    double ntt_radix2_ns[kBackends] = {};     // radix-2 reference walk
     double mul_backend_ns[kBackends] = {};
     {
         RnsPoly ntt_poly = a;
@@ -302,23 +310,20 @@ BenchMain(int argc, char **argv)
     }
     if (avx2_available) {
         bench::Ratio("ntt4096 avx2 vs scalar",
-                     ntt_backend_ns[0] / ntt_backend_ns[1]);
+                     ntt_backend_ns[kScalarSlot] / ntt_backend_ns[kAvx2Slot]);
         bench::Ratio("multiply avx2 vs scalar",
-                     mul_backend_ns[0] / mul_backend_ns[1]);
+                     mul_backend_ns[kScalarSlot] / mul_backend_ns[kAvx2Slot]);
     }
     bench::Ratio("ntt4096 radix4 vs radix2 (scalar)",
-                 ntt_radix2_ns[0] / ntt_backend_ns[0]);
+                 ntt_radix2_ns[kScalarSlot] / ntt_backend_ns[kScalarSlot]);
     // The acceptance series for the fused walker: the best radix-4
     // column against the radix-2 AVX2 path PR 4 shipped.
-    const std::size_t best_slot = static_cast<std::size_t>(
-        avx512_available ? simd::Backend::kAvx512
-        : avx2_available ? simd::Backend::kAvx2
-                         : simd::Backend::kScalar);
+    const std::size_t best_slot = avx512_available ? kAvx512Slot
+                                  : avx2_available ? kAvx2Slot
+                                                   : kScalarSlot;
     const double radix4_vs_pr4 =
         avx2_available
-            ? ntt_radix2_ns[static_cast<std::size_t>(
-                  simd::Backend::kAvx2)] /
-                  ntt_backend_ns[best_slot]
+            ? ntt_radix2_ns[kAvx2Slot] / ntt_backend_ns[best_slot]
             : 0.0;
     if (avx2_available) {
         bench::Ratio("ntt4096 radix4 best vs pr4 radix2 avx2",
@@ -368,10 +373,6 @@ BenchMain(int argc, char **argv)
                        ew_foldrescale_ns[slot] / 1e3, "us");
         }
     }
-    const std::size_t kAvx2Slot =
-        static_cast<std::size_t>(simd::Backend::kAvx2);
-    const std::size_t kAvx512Slot =
-        static_cast<std::size_t>(simd::Backend::kAvx512);
     const double ew_tensor_512_vs_2 =
         (avx2_available && avx512_available)
             ? ew_tensor_ns[kAvx2Slot] / ew_tensor_ns[kAvx512Slot]
@@ -425,7 +426,6 @@ BenchMain(int argc, char **argv)
             "  \"simd_default_backend\": \"%s\",\n"
             "  \"avx2_available\": %s,\n"
             "  \"avx512_available\": %s,\n"
-            "  \"avx512ifma_available\": %s,\n"
             "  \"neon_available\": %s,\n"
             "  \"ntt4096_scalar_ns\": %.1f,\n"
             "  \"ntt4096_avx2_ns\": %.1f,\n"
@@ -446,12 +446,10 @@ BenchMain(int argc, char **argv)
             "  \"elementwise_tensor_scalar_ns\": %.1f,\n"
             "  \"elementwise_tensor_avx2_ns\": %.1f,\n"
             "  \"elementwise_tensor_avx512_ns\": %.1f,\n"
-            "  \"elementwise_tensor_avx512ifma_ns\": %.1f,\n"
             "  \"elementwise_tensor_neon_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_scalar_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_avx2_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_avx512_ns\": %.1f,\n"
-            "  \"elementwise_foldrescale_avx512ifma_ns\": %.1f,\n"
             "  \"elementwise_foldrescale_neon_ns\": %.1f,\n"
             "  \"speedup_elementwise_tensor_avx512_vs_avx2\": %.3f,\n"
             "  \"speedup_elementwise_foldrescale_avx512_vs_avx2\": "
@@ -463,22 +461,29 @@ BenchMain(int argc, char **argv)
             simd::BackendName(simd::ActiveBackend()),
             avx2_available ? "true" : "false",
             avx512_available ? "true" : "false",
-            avx512ifma_available ? "true" : "false",
-            neon_available ? "true" : "false", ntt_backend_ns[0],
-            ntt_backend_ns[1], ntt_backend_ns[2], ntt_radix2_ns[0],
-            ntt_radix2_ns[1], ntt_radix2_ns[2],
-            avx2_available ? ntt_backend_ns[0] / ntt_backend_ns[1] : 0.0,
-            ntt_radix2_ns[0] / ntt_backend_ns[0],
-            avx2_available ? ntt_radix2_ns[1] / ntt_backend_ns[1] : 0.0,
-            avx512_available ? ntt_radix2_ns[2] / ntt_backend_ns[2]
-                             : 0.0,
-            radix4_vs_pr4, mul_backend_ns[0], mul_backend_ns[1],
-            mul_backend_ns[2],
-            avx2_available ? mul_backend_ns[0] / mul_backend_ns[1] : 0.0,
-            ew_tensor_ns[0], ew_tensor_ns[1], ew_tensor_ns[2],
-            ew_tensor_ns[3], ew_tensor_ns[4], ew_foldrescale_ns[0],
-            ew_foldrescale_ns[1], ew_foldrescale_ns[2],
-            ew_foldrescale_ns[3], ew_foldrescale_ns[4],
+            neon_available ? "true" : "false",
+            ntt_backend_ns[kScalarSlot], ntt_backend_ns[kAvx2Slot],
+            ntt_backend_ns[kAvx512Slot], ntt_radix2_ns[kScalarSlot],
+            ntt_radix2_ns[kAvx2Slot], ntt_radix2_ns[kAvx512Slot],
+            avx2_available
+                ? ntt_backend_ns[kScalarSlot] / ntt_backend_ns[kAvx2Slot]
+                : 0.0,
+            ntt_radix2_ns[kScalarSlot] / ntt_backend_ns[kScalarSlot],
+            avx2_available
+                ? ntt_radix2_ns[kAvx2Slot] / ntt_backend_ns[kAvx2Slot]
+                : 0.0,
+            avx512_available
+                ? ntt_radix2_ns[kAvx512Slot] / ntt_backend_ns[kAvx512Slot]
+                : 0.0,
+            radix4_vs_pr4, mul_backend_ns[kScalarSlot],
+            mul_backend_ns[kAvx2Slot], mul_backend_ns[kAvx512Slot],
+            avx2_available
+                ? mul_backend_ns[kScalarSlot] / mul_backend_ns[kAvx2Slot]
+                : 0.0,
+            ew_tensor_ns[kScalarSlot], ew_tensor_ns[kAvx2Slot],
+            ew_tensor_ns[kAvx512Slot], ew_tensor_ns[kNeonSlot],
+            ew_foldrescale_ns[kScalarSlot], ew_foldrescale_ns[kAvx2Slot],
+            ew_foldrescale_ns[kAvx512Slot], ew_foldrescale_ns[kNeonSlot],
             ew_tensor_512_vs_2, ew_foldrescale_512_vs_2, alloc_delta);
         std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());
@@ -495,11 +500,11 @@ BenchMain(int argc, char **argv)
     // legitimately land below the 1.5x target; the committed JSON
     // column is the tracked record.
     if (avx2_available &&
-        ntt_backend_ns[0] / ntt_backend_ns[1] < 1.5) {
+        ntt_backend_ns[kScalarSlot] / ntt_backend_ns[kAvx2Slot] < 1.5) {
         std::fprintf(stderr,
                      "WARNING: AVX2 backend below the 1.5x target on "
                      "the N=4096 butterfly-bound microbench (%.2fx)\n",
-                     ntt_backend_ns[0] / ntt_backend_ns[1]);
+                     ntt_backend_ns[kScalarSlot] / ntt_backend_ns[kAvx2Slot]);
     }
     // Same advisory status for the fused-walker acceptance series: the
     // best radix-4 column should beat the PR 4 radix-2 AVX2 path by

@@ -4,10 +4,11 @@
  * (Shoup vs native vs Barrett) — plus per-kernel x per-backend columns
  * for the whole SIMD element-wise family (every Backend member on the
  * same 4096-element sweep; unavailable backends skip with an error
- * label). These columns are the measurement base for the per-backend
- * table verdicts recorded in docs/ARCHITECTURE.md: the AVX2
- * Barrett-borrows, the AVX-512 all-native flip, and the IFMA
- * ablation.
+ * label). Each column times the backend's production table
+ * (simd::Get), so a borrowed slot measures its scalar source. These
+ * columns are the measurement base for the per-backend table verdicts
+ * recorded in docs/ARCHITECTURE.md: the AVX2 Barrett-borrows and the
+ * AVX-512 all-native flip.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,7 +17,7 @@
 #include "common/montgomery.h"
 #include "common/primegen.h"
 #include "common/random.h"
-#include "simd/simd_internal.h"
+#include "simd/simd_backend.h"
 
 namespace {
 
@@ -149,18 +150,6 @@ SelectBackend(benchmark::State &state, simd::Backend &backend)
     return true;
 }
 
-/** The table a backend's element-wise verdict is judged by: for AVX2
- *  the all-vector variant (the production table borrows the scalar
- *  Barrett family, so benchmarking it would measure scalar twice);
- *  every other backend's production table is already all-candidate. */
-const simd::Kernels &
-CandidateTable(simd::Backend backend)
-{
-    return backend == simd::Backend::kAvx2
-               ? simd::internal::Avx2AllVectorKernels()
-               : simd::Get(backend);
-}
-
 void
 BM_SimdMulShoupRows(benchmark::State &state)
 {
@@ -189,11 +178,10 @@ BM_SimdMulBarrettRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    // The gauge for whether the vector Barrett tree should enter a
-    // backend's production table on a given microarchitecture (at 4
-    // AVX2 lanes it loses to scalar mulx on Intel; at 8 AVX-512 lanes
-    // with vpmullq it wins — see docs/ARCHITECTURE.md).
-    const simd::Kernels &kernels = CandidateTable(backend);
+    // The AVX-512 vector Barrett tree against the scalar mulx loop
+    // (the AVX2 column times the borrowed scalar slot; see
+    // docs/ARCHITECTURE.md).
+    const simd::Kernels &kernels = simd::Get(backend);
     const BarrettReducer red(ops.p);
     const simd::BarrettConsts consts = simd::Consts(red);
     u64 dst[kBatch];
@@ -237,7 +225,7 @@ BM_SimdMulAccBarrettRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     const BarrettReducer red(ops.p);
     const simd::BarrettConsts consts = simd::Consts(red);
     u64 dst[kBatch] = {};
@@ -257,7 +245,7 @@ BM_SimdReduceBarrettRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     const BarrettReducer red(ops.p);
     const simd::BarrettConsts consts = simd::Consts(red);
     u64 dst[kBatch];
@@ -277,7 +265,7 @@ BM_SimdAddRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     u64 dst[kBatch];
     for (auto _ : state) {
         kernels.add_rows(dst, ops.a, ops.w, kBatch, ops.p, false);
@@ -295,7 +283,7 @@ BM_SimdSubRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     u64 dst[kBatch];
     for (auto _ : state) {
         kernels.sub_rows(dst, ops.a, ops.w, kBatch, ops.p, false);
@@ -313,7 +301,7 @@ BM_SimdFoldLazyRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     u64 x[kBatch];
     for (std::size_t i = 0; i < kBatch; ++i) {
         x[i] = ops.a[i];
@@ -334,7 +322,7 @@ BM_SimdFoldRescaleRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     u64 dst[kBatch] = {};
     for (auto _ : state) {
         kernels.fold_rescale_rows(dst, ops.a, kBatch, ops.p, ops.w[0],
@@ -353,7 +341,7 @@ BM_SimdTensorRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     const BarrettReducer red(ops.p);
     const simd::BarrettConsts consts = simd::Consts(red);
     u64 c0[kBatch], c1[kBatch], c2[kBatch];
@@ -376,7 +364,7 @@ BM_SimdDivideRoundRows(benchmark::State &state)
         return;
     }
     auto &ops = Ops();
-    const simd::Kernels &kernels = CandidateTable(backend);
+    const simd::Kernels &kernels = simd::Get(backend);
     // Constants as the BGV mod-switch epilogue builds them: drop prime
     // q_k = ops.p, land in a second 55-bit q_i.
     const u64 qi = GenerateNttPrimes(1 << 14, 55, 1)[0];

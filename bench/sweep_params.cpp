@@ -7,7 +7,7 @@
  * check column) rather than a bench-per-configuration zoo.
  *
  *   sweep_params [--n 64,4096] [--limbs 3,8] [--depth 1,4,7]
- *                [--backend auto,scalar,avx2,avx512] [--radix 4,2]
+ *                [--backend auto,scalar,avx2,avx512]
  *                [--threads 1,4] [--reps R] [--check]
  *                [--json BENCH_deep_circuit.json]
  *
@@ -46,7 +46,6 @@
 #include "common/thread_pool.h"
 #include "he/bgv.h"
 #include "he/ciphertext_batch.h"
-#include "ntt/ntt_lazy.h"
 #include "simd/simd_backend.h"
 
 // ---------------------------------------------------------------------
@@ -142,7 +141,6 @@ struct Axes {
     std::vector<std::size_t> limbs{8};
     std::vector<std::size_t> depth{1, 4, 7};
     std::vector<std::string> backend{"auto"};
-    std::vector<std::size_t> radix{4};
     std::vector<std::size_t> threads;
     int reps = 3;
     bool check = false;
@@ -491,8 +489,6 @@ SweepMain(int argc, char **argv)
             axes.depth = SplitSizeList(next());
         } else if (std::strcmp(a, "--backend") == 0) {
             axes.backend = SplitList(next());
-        } else if (std::strcmp(a, "--radix") == 0) {
-            axes.radix = SplitSizeList(next());
         } else if (std::strcmp(a, "--threads") == 0) {
             axes.threads = SplitSizeList(next());
         } else if (std::strcmp(a, "--reps") == 0) {
@@ -529,10 +525,9 @@ SweepMain(int argc, char **argv)
     std::map<std::pair<std::size_t, std::size_t>,
              std::unique_ptr<SchemeBundle>>
         cache;
-    std::printf(
-        "%6s %6s %6s %8s %6s %8s %14s %12s %7s  %s\n", "n", "limbs",
-        "depth", "backend", "radix", "threads", "tower_us",
-        "us/level", "allocs", axes.check ? "check" : "");
+    std::printf("%6s %6s %6s %8s %8s %14s %12s %7s  %s\n", "n",
+                "limbs", "depth", "backend", "threads", "tower_us",
+                "us/level", "allocs", axes.check ? "check" : "");
 
     bool all_ok = true;
     for (const std::size_t n : axes.n) {
@@ -553,43 +548,34 @@ SweepMain(int argc, char **argv)
                                     n, limbs, depth, bname.c_str());
                         continue;
                     }
-                    for (const std::size_t radix : axes.radix) {
-                        for (const std::size_t threads :
-                             axes.threads) {
-                            SetGlobalThreadCount(threads);
-                            if (backend) {
-                                simd::ForceBackend(*backend);
-                            } else {
-                                simd::ResetBackend();
-                            }
-                            ForceLazyWalk(radix == 2
-                                              ? LazyWalk::kRadix2
-                                              : LazyWalk::kFusedRadix4);
-                            SchemeBundle &bundle =
-                                GetBundle(cache, n, limbs);
-                            TowerTiming t = MeasureTower(
-                                bundle, depth, axes.reps);
-                            std::string check;
-                            if (axes.check) {
-                                check = CheckRow(bundle, t, depth);
-                                if (check.rfind("FAIL", 0) == 0) {
-                                    all_ok = false;
-                                }
-                            }
+                    for (const std::size_t threads : axes.threads) {
+                        SetGlobalThreadCount(threads);
+                        if (backend) {
+                            simd::ForceBackend(*backend);
+                        } else {
                             simd::ResetBackend();
-                            ResetLazyWalk();
-                            if (t.allocs != 0) {
+                        }
+                        SchemeBundle &bundle = GetBundle(cache, n, limbs);
+                        TowerTiming t =
+                            MeasureTower(bundle, depth, axes.reps);
+                        std::string check;
+                        if (axes.check) {
+                            check = CheckRow(bundle, t, depth);
+                            if (check.rfind("FAIL", 0) == 0) {
                                 all_ok = false;
                             }
-                            std::printf(
-                                "%6zu %6zu %6zu %8s %6zu %8zu "
-                                "%14.1f %12.1f %7lld  %s\n",
-                                n, limbs, depth, bname.c_str(),
-                                radix, threads, t.total_ns / 1e3,
-                                t.total_ns / 1e3 /
-                                    static_cast<double>(depth),
-                                t.allocs, check.c_str());
                         }
+                        simd::ResetBackend();
+                        if (t.allocs != 0) {
+                            all_ok = false;
+                        }
+                        std::printf("%6zu %6zu %6zu %8s %8zu %14.1f "
+                                    "%12.1f %7lld  %s\n",
+                                    n, limbs, depth, bname.c_str(),
+                                    threads, t.total_ns / 1e3,
+                                    t.total_ns / 1e3 /
+                                        static_cast<double>(depth),
+                                    t.allocs, check.c_str());
                     }
                 }
             }

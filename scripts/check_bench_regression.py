@@ -320,7 +320,6 @@ def self_test():
         "simd_default_backend": "avx512",
         "avx2_available": True,
         "avx512_available": True,
-        "avx512ifma_available": True,
         "neon_available": False,
     }
     ew_flat = dict(ew)
@@ -329,7 +328,6 @@ def self_test():
            len(compare(ew, ew_flat, relative_only=True)) == 1)
     ew_no512 = dict(ew)
     ew_no512["avx512_available"] = False
-    ew_no512["avx512ifma_available"] = False
     ew_no512["simd_default_backend"] = "avx2"
     ew_no512["elementwise_tensor_avx512_ns"] = 0.0
     ew_no512["speedup_elementwise_tensor_avx512_vs_avx2"] = 0.0

@@ -1,7 +1,5 @@
 #include "ntt/ntt_lazy.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -12,58 +10,6 @@
 #include "simd/simd_backend.h"
 
 namespace hentt {
-
-namespace {
-
-// Stage-walk selection (see LazyWalk). Encoding: 0 = unresolved,
-// 1 = fused radix-4, 2 = unfused radix-2. The environment is consulted
-// once, on the first transform; ForceLazyWalk writes the value
-// directly and ResetLazyWalk drops back to unresolved. One relaxed
-// atomic load per *transform* (not per stage), so the hook costs
-// nothing next to the N log N work it selects.
-std::atomic<int> g_lazy_walk{0};
-
-int
-ResolveLazyWalkFromEnv()
-{
-    const char *env = std::getenv("HENTT_RADIX");
-    if (env != nullptr && env[0] == '2' && env[1] == '\0') {
-        return 2;
-    }
-    return 1;  // default (and any unrecognised value): fused radix-4
-}
-
-inline bool
-UseUnfusedWalk()
-{
-    int mode = g_lazy_walk.load(std::memory_order_relaxed);
-    if (mode == 0) {
-        mode = ResolveLazyWalkFromEnv();
-        g_lazy_walk.store(mode, std::memory_order_relaxed);
-    }
-    return mode == 2;
-}
-
-}  // namespace
-
-LazyWalk
-ActiveLazyWalk()
-{
-    return UseUnfusedWalk() ? LazyWalk::kRadix2 : LazyWalk::kFusedRadix4;
-}
-
-void
-ForceLazyWalk(LazyWalk walk)
-{
-    g_lazy_walk.store(walk == LazyWalk::kRadix2 ? 2 : 1,
-                      std::memory_order_relaxed);
-}
-
-void
-ResetLazyWalk()
-{
-    g_lazy_walk.store(0, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -110,10 +56,6 @@ GuardLazyRange(const u64 *a, std::size_t n, u64 bound, const char *walk,
 void
 NttRadix2LazyKeepRange(std::span<u64> a, const TwiddleTable &table)
 {
-    if (UseUnfusedWalk()) {
-        NttRadix2LazyKeepRangeUnfused(a, table);
-        return;
-    }
     CheckSize(a, table);
     const std::size_t n = a.size();
     const u64 p = table.modulus();
@@ -165,8 +107,8 @@ NttRadix2LazyKeepRangeUnfused(std::span<u64> a, const TwiddleTable &table)
     const u64 *w_bar = table.forward_shoup_words().data();
 
     // Radix-2 stage walk (one backend call per butterfly level, log N
-    // passes over the data) — the ablation baseline the fused radix-4
-    // walker is validated and benchmarked against.
+    // passes over the data) — the reference the fused radix-4 walker
+    // is validated and benchmarked against.
     std::size_t t = n / 2;
     u64 dispatches = 0;
     for (std::size_t m = 1; m < n; m <<= 1) {
@@ -195,10 +137,6 @@ NttRadix2LazyUnfused(std::span<u64> a, const TwiddleTable &table)
 void
 InttRadix2Lazy(std::span<u64> a, const TwiddleTable &table)
 {
-    if (UseUnfusedWalk()) {
-        InttRadix2LazyUnfused(a, table);
-        return;
-    }
     CheckSize(a, table);
     const std::size_t n = a.size();
     const u64 p = table.modulus();
@@ -244,7 +182,7 @@ InttRadix2LazyUnfused(std::span<u64> a, const TwiddleTable &table)
     const u64 *w = table.inverse_words().data();
     const u64 *w_bar = table.inverse_shoup_words().data();
 
-    // Radix-2 Gentleman-Sande walk (ablation baseline; see
+    // Radix-2 Gentleman-Sande walk (reference; see
     // NttRadix2LazyKeepRangeUnfused).
     std::size_t t = 1;
     u64 dispatches = 0;

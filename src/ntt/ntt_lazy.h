@@ -23,33 +23,6 @@
 namespace hentt {
 
 /**
- * Stage-walk selection for the lazy NTT pipeline. Every consumer of the
- * lazy transforms (NttEngine, RnsPoly, the batched HE kernels) routes
- * through NttRadix2Lazy / InttRadix2Lazy, so flipping the walk here
- * flips the whole library — the hook the fused-vs-unfused bit-identity
- * sweeps (test_deep_circuit) and the parameter-sweep driver
- * (bench/sweep_params) use to compare the two paths on identical
- * workloads without touching call sites.
- */
-enum class LazyWalk {
-    kFusedRadix4,  ///< fused stage pairs, ceil(log2 N / 2) dispatches — default
-    kRadix2,       ///< unfused ablation walk, log2 N dispatches
-};
-
-/**
- * The walk the lazy transforms currently execute. Resolution order:
- * ForceLazyWalk override > environment (`HENTT_RADIX=2|4`, read once at
- * first use; any other value keeps the default) > kFusedRadix4.
- */
-LazyWalk ActiveLazyWalk();
-
-/** Force the stage walk (tests / benches / the sweep driver). */
-void ForceLazyWalk(LazyWalk walk);
-
-/** Drop a ForceLazyWalk override and re-resolve from the environment. */
-void ResetLazyWalk();
-
-/**
  * Forward negacyclic NTT with lazy [0, 4p) butterflies (paper Algo. 2).
  * Accepts inputs < p (or more generally < 4p), produces fully reduced
  * outputs (< p) after a final correction pass. Bit-identical to
@@ -66,8 +39,9 @@ void NttRadix2Lazy(std::span<u64> a, const TwiddleTable &table);
 
 /**
  * The radix-2 stage walk of NttRadix2Lazy — one kernel dispatch (and
- * one O(N) pass over the data) per butterfly level. Kept as the
- * ablation baseline the fused radix-4 walker is validated against and
+ * one O(N) pass over the data) per butterfly level. Not on any
+ * production path: it is the named reference the fused radix-4 walker
+ * is validated against (test_ntt_lazy, test_he_properties) and
  * benchmarked next to (micro_ntt / bench_rns_batch radix columns).
  */
 void NttRadix2LazyUnfused(std::span<u64> a, const TwiddleTable &table);
@@ -85,8 +59,8 @@ void NttRadix2LazyUnfused(std::span<u64> a, const TwiddleTable &table);
  */
 void NttRadix2LazyKeepRange(std::span<u64> a, const TwiddleTable &table);
 
-/** Keep-range forward through the radix-2 stage walk (ablation
- *  baseline; bit-identical to NttRadix2LazyKeepRange). */
+/** Keep-range forward through the radix-2 stage walk (reference;
+ *  bit-identical to NttRadix2LazyKeepRange). */
 void NttRadix2LazyKeepRangeUnfused(std::span<u64> a,
                                    const TwiddleTable &table);
 
@@ -97,8 +71,8 @@ void NttRadix2LazyKeepRangeUnfused(std::span<u64> a,
  */
 void InttRadix2Lazy(std::span<u64> a, const TwiddleTable &table);
 
-/** Inverse through the radix-2 stage walk (ablation baseline;
- *  bit-identical to InttRadix2Lazy). */
+/** Inverse through the radix-2 stage walk (reference; bit-identical
+ *  to InttRadix2Lazy). */
 void InttRadix2LazyUnfused(std::span<u64> a, const TwiddleTable &table);
 
 /**

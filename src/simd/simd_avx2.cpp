@@ -19,9 +19,9 @@
  *  - The tail stages (t in {1, 2}) interleave pairs too tightly for
  *    row vectors; they use in-register unpack/permute shuffles instead
  *    of gathers, with a contiguous twiddle stream.
- *  - The Barrett kernels assume mu_hi < 2^32 (every modulus above
- *    2^32; all NTT primes in the library are 49-61 bits) and delegate
- *    to the scalar table for the tiny-modulus remainder.
+ *  - The 128-bit Barrett family (mul, mul-acc, reduce, tensor) and the
+ *    branchy divide-and-round borrow the scalar implementation; see
+ *    Avx2Kernels() for the measurement behind that choice.
  */
 
 #include "simd/simd_internal.h"
@@ -103,95 +103,6 @@ MulLoU64(__m256i x, __m256i y)
     const __m256i mid =
         _mm256_add_epi64(_mm256_mul_epu32(x, yh), _mm256_mul_epu32(xh, y));
     return _mm256_add_epi64(ll, _mm256_slli_epi64(mid, 32));
-}
-
-struct V128 {
-    __m256i lo, hi;
-};
-
-/** Full 64x64 -> 128-bit product, partials shared between halves. */
-inline V128
-MulFullU64(__m256i x, __m256i y)
-{
-    const __m256i lo32 = Bcast(0xffffffffu);
-    const __m256i xh = _mm256_srli_epi64(x, 32);
-    const __m256i yh = _mm256_srli_epi64(y, 32);
-    const __m256i ll = _mm256_mul_epu32(x, y);
-    const __m256i lh = _mm256_mul_epu32(x, yh);
-    const __m256i hl = _mm256_mul_epu32(xh, y);
-    const __m256i hh = _mm256_mul_epu32(xh, yh);
-    const __m256i cross = _mm256_add_epi64(
-        _mm256_add_epi64(_mm256_srli_epi64(ll, 32),
-                         _mm256_and_si256(lh, lo32)),
-        _mm256_and_si256(hl, lo32));
-    V128 r;
-    r.lo = _mm256_add_epi64(
-        ll, _mm256_slli_epi64(_mm256_add_epi64(lh, hl), 32));
-    r.hi = _mm256_add_epi64(
-        _mm256_add_epi64(hh, _mm256_srli_epi64(lh, 32)),
-        _mm256_add_epi64(_mm256_srli_epi64(hl, 32),
-                         _mm256_srli_epi64(cross, 32)));
-    return r;
-}
-
-/** Full 64x32 -> 96-bit product (y32 has zero high halves). */
-inline V128
-MulFullU64x32(__m256i x, __m256i y32)
-{
-    const __m256i lo32 = Bcast(0xffffffffu);
-    const __m256i a = _mm256_mul_epu32(x, y32);
-    const __m256i b = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), y32);
-    const __m256i s = _mm256_add_epi64(_mm256_srli_epi64(a, 32),
-                                       _mm256_and_si256(b, lo32));
-    V128 r;
-    r.lo = _mm256_or_si256(_mm256_and_si256(a, lo32),
-                           _mm256_slli_epi64(s, 32));
-    r.hi = _mm256_add_epi64(_mm256_srli_epi64(b, 32),
-                            _mm256_srli_epi64(s, 32));
-    return r;
-}
-
-/** Low 64 bits of the 64x32 product. */
-inline __m256i
-MulLoU64x32(__m256i x, __m256i y32)
-{
-    const __m256i a = _mm256_mul_epu32(x, y32);
-    const __m256i b = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), y32);
-    return _mm256_add_epi64(a, _mm256_slli_epi64(b, 32));
-}
-
-/** Carry mask of lane-wise sum = a + b: all-ones where it wrapped. */
-inline __m256i
-CarryMask(__m256i sum, __m256i addend)
-{
-    return CmpGtU64(addend, sum);
-}
-
-/**
- * Barrett reduction of (z_hi:z_lo) into [0, p) — term-for-term the
- * Mul128High tree of BarrettReduce, restricted to mu_hi < 2^32 and to
- * the low word of the quotient (the only part the residual needs).
- */
-inline __m256i
-BarrettReduceVec(V128 z, __m256i vp, __m256i v2p, __m256i vmu_lo,
-                 __m256i vmu_hi)
-{
-    const __m256i h_ll = MulHiU64(z.lo, vmu_lo);
-    const V128 lh = MulFullU64x32(z.lo, vmu_hi);
-    const __m256i mid_lo = _mm256_add_epi64(lh.lo, h_ll);
-    // Subtracting an all-ones mask adds the carry bit.
-    const __m256i mid_hi =
-        _mm256_sub_epi64(lh.hi, CarryMask(mid_lo, h_ll));
-    const V128 hl = MulFullU64(z.hi, vmu_lo);
-    const __m256i mid2_lo = _mm256_add_epi64(hl.lo, mid_lo);
-    const __m256i mid2_hi =
-        _mm256_sub_epi64(hl.hi, CarryMask(mid2_lo, mid_lo));
-    const __m256i hh_lo = MulLoU64x32(z.hi, vmu_hi);
-    const __m256i q =
-        _mm256_add_epi64(hh_lo, _mm256_add_epi64(mid_hi, mid2_hi));
-    __m256i r = _mm256_sub_epi64(z.lo, MulLoU64(q, vp));
-    r = CondSub(r, v2p);
-    return CondSub(r, vp);
 }
 
 /** The lazy CT butterfly core on four lanes (FwdButterflyElem). */
@@ -495,37 +406,6 @@ FwdStage4TailQ1(u64 *a, const u64 *pairs, const u64 *quads,
     return j;
 }
 
-/** Fully-fused AVX2 forward radix-4 stage (the all-vector table entry):
- *  single pass over the data at every quarter length. */
-void
-FwdButterflyStage4Fused(u64 *a, const u64 *pairs, const u64 *quads,
-                        std::size_t m, std::size_t q, u64 p)
-{
-    if (q >= kMinButterflyRun) {
-        FwdStage4Rows(a, pairs, quads, m, q, p);
-        return;
-    }
-    const __m256i vp = Bcast(p), v2p = Bcast(2 * p);
-    std::size_t j = 0;
-    if (q == 2) {
-        FwdStage4TailQ2(a, pairs, quads, m, vp, v2p);
-        return;
-    }
-    if (q == 1) {
-        j = FwdStage4TailQ1(a, pairs, quads, m, vp, v2p);
-    }
-    for (; j < m; ++j) {
-        u64 *blk = a + 4 * j * q;
-        for (std::size_t k = 0; k < q; ++k) {
-            FwdButterflyQuadElem(blk[k], blk[q + k], blk[2 * q + k],
-                                 blk[3 * q + k], pairs[2 * j],
-                                 pairs[2 * j + 1], quads[4 * j],
-                                 quads[4 * j + 1], quads[4 * j + 2],
-                                 quads[4 * j + 3], p);
-        }
-    }
-}
-
 /** Quarter length at and above which the production AVX2 table runs a
  *  fused stage pair as two row sweeps instead of one fused pass: the
  *  four-row column plus six twiddle broadcasts and the butterfly
@@ -563,7 +443,29 @@ FwdButterflyStage4(u64 *a, const u64 *pairs, const u64 *quads,
         }
         return;
     }
-    FwdButterflyStage4Fused(a, pairs, quads, m, q, p);
+    if (q >= kMinButterflyRun) {
+        FwdStage4Rows(a, pairs, quads, m, q, p);
+        return;
+    }
+    const __m256i vp = Bcast(p), v2p = Bcast(2 * p);
+    std::size_t j = 0;
+    if (q == 2) {
+        FwdStage4TailQ2(a, pairs, quads, m, vp, v2p);
+        return;
+    }
+    if (q == 1) {
+        j = FwdStage4TailQ1(a, pairs, quads, m, vp, v2p);
+    }
+    for (; j < m; ++j) {
+        u64 *blk = a + 4 * j * q;
+        for (std::size_t k = 0; k < q; ++k) {
+            FwdButterflyQuadElem(blk[k], blk[q + k], blk[2 * q + k],
+                                 blk[3 * q + k], pairs[2 * j],
+                                 pairs[2 * j + 1], quads[4 * j],
+                                 quads[4 * j + 1], quads[4 * j + 2],
+                                 quads[4 * j + 3], p);
+        }
+    }
 }
 
 /** Inverse radix-4, contiguous-row form (q >= 4); see FwdStage4Rows. */
@@ -660,12 +562,27 @@ InvStage4TailQ1(u64 *a, const u64 *quads, const u64 *pairs,
     return j;
 }
 
-/** Fully-fused AVX2 inverse radix-4 stage (the all-vector table
- *  entry); see FwdButterflyStage4Fused. */
+/** Production AVX2 inverse radix-4 stage; see FwdButterflyStage4 for
+ *  the two-sweep rationale. */
 void
-InvButterflyStage4Fused(u64 *a, const u64 *quads, const u64 *pairs,
-                        std::size_t m, std::size_t q, u64 p)
+InvButterflyStage4(u64 *a, const u64 *quads, const u64 *pairs,
+                   std::size_t m, std::size_t q, u64 p)
 {
+    if (q >= kFusedRowMax) {
+        for (std::size_t j = 0; j < m; ++j) {
+            u64 *blk = a + 4 * j * q;
+            InvButterflyRows(blk, blk + q, q, quads[4 * j],
+                             quads[4 * j + 1], p);
+            InvButterflyRows(blk + 2 * q, blk + 3 * q, q,
+                             quads[4 * j + 2], quads[4 * j + 3], p);
+        }
+        for (std::size_t j = 0; j < m; ++j) {
+            u64 *blk = a + 4 * j * q;
+            InvButterflyRows(blk, blk + 2 * q, 2 * q, pairs[2 * j],
+                             pairs[2 * j + 1], p);
+        }
+        return;
+    }
     if (q >= kMinButterflyRun) {
         InvStage4Rows(a, quads, pairs, m, q, p);
         return;
@@ -691,30 +608,6 @@ InvButterflyStage4Fused(u64 *a, const u64 *quads, const u64 *pairs,
     }
 }
 
-/** Production AVX2 inverse radix-4 stage; see FwdButterflyStage4 for
- *  the two-sweep rationale. */
-void
-InvButterflyStage4(u64 *a, const u64 *quads, const u64 *pairs,
-                   std::size_t m, std::size_t q, u64 p)
-{
-    if (q >= kFusedRowMax) {
-        for (std::size_t j = 0; j < m; ++j) {
-            u64 *blk = a + 4 * j * q;
-            InvButterflyRows(blk, blk + q, q, quads[4 * j],
-                             quads[4 * j + 1], p);
-            InvButterflyRows(blk + 2 * q, blk + 3 * q, q,
-                             quads[4 * j + 2], quads[4 * j + 3], p);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            u64 *blk = a + 4 * j * q;
-            InvButterflyRows(blk, blk + 2 * q, 2 * q, pairs[2 * j],
-                             pairs[2 * j + 1], p);
-        }
-        return;
-    }
-    InvButterflyStage4Fused(a, quads, pairs, m, q, p);
-}
-
 // ---------------------------------------------------------- elementwise
 
 void
@@ -732,80 +625,6 @@ MulShoupRows(u64 *dst, const u64 *src, std::size_t n, u64 s, u64 s_bar,
     }
     for (; k < n; ++k) {
         dst[k] = MulModShoup(src[k], s, s_bar, p);
-    }
-}
-
-void
-MulBarrettRows(u64 *dst, const u64 *a, const u64 *b, std::size_t n,
-               BarrettConsts c)
-{
-    if (c.mu_hi >> 32) {  // modulus <= 2^32: scalar reference
-        internal::ScalarKernels().mul_barrett_rows(dst, a, b, n, c);
-        return;
-    }
-    const __m256i vp = Bcast(c.p), v2p = Bcast(2 * c.p);
-    const __m256i vmu_lo = Bcast(c.mu_lo), vmu_hi = Bcast(c.mu_hi);
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const V128 z = MulFullU64(Load(a + k), Load(b + k));
-        Store(dst + k, BarrettReduceVec(z, vp, v2p, vmu_lo, vmu_hi));
-    }
-    for (; k < n; ++k) {
-        const u128 z = Mul64Wide(a[k], b[k]);
-        dst[k] = BarrettReduce(Lo64(z), Hi64(z), c);
-    }
-}
-
-void
-MulAccBarrettRows(u64 *dst, const u64 *a, const u64 *b, std::size_t n,
-                  BarrettConsts c)
-{
-    if (c.mu_hi >> 32) {
-        internal::ScalarKernels().mul_acc_barrett_rows(dst, a, b, n, c);
-        return;
-    }
-    const __m256i vp = Bcast(c.p), v2p = Bcast(2 * c.p);
-    const __m256i vmu_lo = Bcast(c.mu_lo), vmu_hi = Bcast(c.mu_hi);
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        V128 z = MulFullU64(Load(a + k), Load(b + k));
-        const __m256i addend = Load(dst + k);
-        z.lo = _mm256_add_epi64(z.lo, addend);
-        z.hi = _mm256_sub_epi64(z.hi, CarryMask(z.lo, addend));
-        Store(dst + k, BarrettReduceVec(z, vp, v2p, vmu_lo, vmu_hi));
-    }
-    for (; k < n; ++k) {
-        const u128 z = Mul64Wide(a[k], b[k]) + dst[k];
-        dst[k] = BarrettReduce(Lo64(z), Hi64(z), c);
-    }
-}
-
-void
-ReduceBarrettRows(u64 *dst, const u64 *src, std::size_t n,
-                  BarrettConsts c)
-{
-    if (c.mu_hi >> 32) {
-        internal::ScalarKernels().reduce_barrett_rows(dst, src, n, c);
-        return;
-    }
-    // z_hi == 0 specialisation of BarrettReduceVec: the quotient's low
-    // word collapses to hi64(z*mu_hi + hi64(z*mu_lo)).
-    const __m256i vp = Bcast(c.p), v2p = Bcast(2 * c.p);
-    const __m256i vmu_lo = Bcast(c.mu_lo), vmu_hi = Bcast(c.mu_hi);
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i z = Load(src + k);
-        const __m256i h_ll = MulHiU64(z, vmu_lo);
-        const V128 lh = MulFullU64x32(z, vmu_hi);
-        const __m256i mid_lo = _mm256_add_epi64(lh.lo, h_ll);
-        const __m256i q =
-            _mm256_sub_epi64(lh.hi, CarryMask(mid_lo, h_ll));
-        __m256i r = _mm256_sub_epi64(z, MulLoU64(q, vp));
-        r = CondSub(r, v2p);
-        Store(dst + k, CondSub(r, vp));
-    }
-    for (; k < n; ++k) {
-        dst[k] = BarrettReduce(src[k], 0, c);
     }
 }
 
@@ -891,43 +710,6 @@ FoldRescaleRows(u64 *dst, const u64 *src, std::size_t n, u64 p, u64 s,
     }
 }
 
-void
-TensorRows(u64 *c0, u64 *c1, u64 *c2, const u64 *a0, const u64 *a1,
-           const u64 *b0, const u64 *b1, std::size_t n, BarrettConsts c)
-{
-    if (c.mu_hi >> 32) {
-        internal::ScalarKernels().tensor_rows(c0, c1, c2, a0, a1, b0, b1,
-                                              n, c);
-        return;
-    }
-    const __m256i vp = Bcast(c.p), v2p = Bcast(2 * c.p);
-    const __m256i vmu_lo = Bcast(c.mu_lo), vmu_hi = Bcast(c.mu_hi);
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i va0 = Load(a0 + k), va1 = Load(a1 + k);
-        const __m256i vb0 = Load(b0 + k), vb1 = Load(b1 + k);
-        const V128 z0 = MulFullU64(va0, vb0);
-        const V128 za = MulFullU64(va0, vb1);
-        const V128 zb = MulFullU64(va1, vb0);
-        V128 z1;
-        z1.lo = _mm256_add_epi64(za.lo, zb.lo);
-        z1.hi = _mm256_sub_epi64(_mm256_add_epi64(za.hi, zb.hi),
-                                 CarryMask(z1.lo, zb.lo));
-        const V128 z2 = MulFullU64(va1, vb1);
-        Store(c0 + k, BarrettReduceVec(z0, vp, v2p, vmu_lo, vmu_hi));
-        Store(c1 + k, BarrettReduceVec(z1, vp, v2p, vmu_lo, vmu_hi));
-        Store(c2 + k, BarrettReduceVec(z2, vp, v2p, vmu_lo, vmu_hi));
-    }
-    for (; k < n; ++k) {
-        const u128 z0 = Mul64Wide(a0[k], b0[k]);
-        const u128 z1 = Mul64Wide(a0[k], b1[k]) + Mul64Wide(a1[k], b0[k]);
-        const u128 z2 = Mul64Wide(a1[k], b1[k]);
-        c0[k] = BarrettReduce(Lo64(z0), Hi64(z0), c);
-        c1[k] = BarrettReduce(Lo64(z1), Hi64(z1), c);
-        c2[k] = BarrettReduce(Lo64(z2), Hi64(z2), c);
-    }
-}
-
 }  // namespace
 
 namespace internal {
@@ -939,33 +721,6 @@ Avx2CompiledIn()
 }
 
 const Kernels &
-Avx2AllVectorKernels()
-{
-    // Every kernel vectorized (the branchy divide-and-round excepted:
-    // its data-dependent centering blends poorly and it runs once per
-    // op, not per stage).
-    static const Kernels table = {
-        &FwdButterflyRows,
-        &FwdButterflyStage,
-        &InvButterflyRows,
-        &InvButterflyStage,
-        &FwdButterflyStage4Fused,
-        &InvButterflyStage4Fused,
-        &MulShoupRows,
-        &MulBarrettRows,
-        &MulAccBarrettRows,
-        &ReduceBarrettRows,
-        &AddRows,
-        &SubRows,
-        &FoldLazyRows,
-        &FoldRescaleRows,
-        &TensorRows,
-        ScalarKernels().divide_round_rows,
-    };
-    return table;
-}
-
-const Kernels &
 Avx2Kernels()
 {
     // Production table: measured hybrid. The Shoup-style kernels (one
@@ -974,11 +729,9 @@ Avx2Kernels()
     // fused epilogues comfortably. The 128-bit Barrett reduction tree
     // (mul, mul-acc, 64-bit reduce, tensor) does NOT: ~19 pmuludq per
     // four lanes loses to four hardware 64x64 mulx chains on current
-    // Intel cores (~0.8x measured), so those entries borrow the
-    // scalar implementation. Outputs are bit-identical either way;
-    // Avx2AllVectorKernels keeps the vector variants tested for
-    // microarchitectures (or an AVX-512 vpmullq port) where the
-    // balance flips.
+    // Intel cores (~0.8x measured; a later run disagreed, see
+    // ARCHITECTURE.md "The Barrett question"), so those entries borrow
+    // the scalar implementation. Outputs are bit-identical either way.
     static const Kernels table = {
         &FwdButterflyRows,
         &FwdButterflyStage,
@@ -1016,12 +769,6 @@ Avx2CompiledIn()
 
 const Kernels &
 Avx2Kernels()
-{
-    return ScalarKernels();
-}
-
-const Kernels &
-Avx2AllVectorKernels()
 {
     return ScalarKernels();
 }

@@ -44,13 +44,173 @@
 
 #include <immintrin.h>
 
-#include "simd/simd_avx512_common.h"
-
 namespace hentt::simd {
 
 namespace {
 
-using namespace avx512detail;
+// ------------------------------------------------------------- helpers
+//
+// Loads, the branchless vpminuq correction, the 64x64 product halves,
+// the 128-bit partial-product tree, and the eight-lane Barrett/Shoup
+// reduction pipelines. Every routine is exact 128-bit integer
+// arithmetic (no approximation anywhere), so any kernel composed from
+// these matches the scalar reference bitwise — the parity sweep in
+// tests/test_simd_kernels.cpp checks exactly that, lazy [0, 4p)
+// representatives included.
+
+inline __m512i
+Load(const u64 *p)
+{
+    return _mm512_loadu_si512(p);
+}
+
+inline void
+Store(u64 *p, __m512i v)
+{
+    _mm512_storeu_si512(p, v);
+}
+
+inline __m512i
+Bcast(u64 x)
+{
+    return _mm512_set1_epi64(static_cast<long long>(x));
+}
+
+/** a >= bound ? a - bound : a, branch-free for any unsigned operands:
+ *  a - bound wraps above a exactly when a < bound. */
+inline __m512i
+CondSub(__m512i a, __m512i bound)
+{
+    return _mm512_min_epu64(a, _mm512_sub_epi64(a, bound));
+}
+
+/** High 64 bits of the unsigned 64x64 product — the same partial-
+ *  product tree as the AVX2 backend / common/int128.h, eight lanes. */
+inline __m512i
+MulHiU64(__m512i x, __m512i y)
+{
+    const __m512i lo32 = Bcast(0xffffffffu);
+    const __m512i xh = _mm512_srli_epi64(x, 32);
+    const __m512i yh = _mm512_srli_epi64(y, 32);
+    const __m512i ll = _mm512_mul_epu32(x, y);
+    const __m512i lh = _mm512_mul_epu32(x, yh);
+    const __m512i hl = _mm512_mul_epu32(xh, y);
+    const __m512i hh = _mm512_mul_epu32(xh, yh);
+    const __m512i cross = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
+                         _mm512_and_si512(lh, lo32)),
+        _mm512_and_si512(hl, lo32));
+    return _mm512_add_epi64(
+        _mm512_add_epi64(hh, _mm512_srli_epi64(lh, 32)),
+        _mm512_add_epi64(_mm512_srli_epi64(hl, 32),
+                         _mm512_srli_epi64(cross, 32)));
+}
+
+/** Low 64 bits of the unsigned 64x64 product: vpmullq, one
+ *  instruction — the AVX-512DQ edge over the AVX2 tree. */
+inline __m512i
+MulLoU64(__m512i x, __m512i y)
+{
+    return _mm512_mullo_epi64(x, y);
+}
+
+struct V512 {
+    __m512i lo, hi;
+};
+
+/** Full 64x64 -> 128-bit product: vpmullq low half, tree high half. */
+inline V512
+MulFullU64(__m512i x, __m512i y)
+{
+    V512 r;
+    r.lo = _mm512_mullo_epi64(x, y);
+    r.hi = MulHiU64(x, y);
+    return r;
+}
+
+/** Full 64x32 -> 96-bit product (y32 has zero high halves). */
+inline V512
+MulFullU64x32(__m512i x, __m512i y32)
+{
+    const __m512i lo32 = Bcast(0xffffffffu);
+    const __m512i a = _mm512_mul_epu32(x, y32);
+    const __m512i b = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), y32);
+    const __m512i s = _mm512_add_epi64(_mm512_srli_epi64(a, 32),
+                                       _mm512_and_si512(b, lo32));
+    V512 r;
+    r.lo = _mm512_or_si512(_mm512_and_si512(a, lo32),
+                           _mm512_slli_epi64(s, 32));
+    r.hi = _mm512_add_epi64(_mm512_srli_epi64(b, 32),
+                            _mm512_srli_epi64(s, 32));
+    return r;
+}
+
+/** hi + carry(sum = a + addend): the mask compare replaces AVX2's
+ *  subtract-an-all-ones-mask carry idiom. */
+inline __m512i
+AddCarry(__m512i hi, __m512i sum, __m512i addend)
+{
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(sum, addend);
+    return _mm512_mask_add_epi64(hi, carry, hi, Bcast(1));
+}
+
+/**
+ * Barrett reduction of (z.hi:z.lo) into [0, p) — the Mul128High tree
+ * of BarrettReduce over word-split constants, restricted to
+ * mu_hi < 2^32 (every modulus above 2^32; callers delegate the
+ * tiny-modulus remainder to the scalar table) and to the low quotient
+ * word (the only part the residual needs).
+ */
+inline __m512i
+BarrettReduceVec(V512 z, __m512i vp, __m512i v2p, __m512i vmu_lo,
+                 __m512i vmu_hi)
+{
+    const __m512i h_ll = MulHiU64(z.lo, vmu_lo);
+    const V512 lh = MulFullU64x32(z.lo, vmu_hi);
+    const __m512i mid_lo = _mm512_add_epi64(lh.lo, h_ll);
+    const __m512i mid_hi = AddCarry(lh.hi, mid_lo, h_ll);
+    const V512 hl = MulFullU64(z.hi, vmu_lo);
+    const __m512i mid2_lo = _mm512_add_epi64(hl.lo, mid_lo);
+    const __m512i mid2_hi = AddCarry(hl.hi, mid2_lo, mid_lo);
+    const __m512i hh_lo = MulLoU64(z.hi, vmu_hi);
+    const __m512i q =
+        _mm512_add_epi64(hh_lo, _mm512_add_epi64(mid_hi, mid2_hi));
+    __m512i r = _mm512_sub_epi64(z.lo, MulLoU64(q, vp));
+    r = CondSub(r, v2p);
+    return CondSub(r, vp);
+}
+
+/** z_hi == 0 specialisation of BarrettReduceVec: the quotient's low
+ *  word collapses to hi64(z*mu_hi + hi64(z*mu_lo)). */
+inline __m512i
+ReduceBarrett64Vec(__m512i z, __m512i vp, __m512i v2p, __m512i vmu_lo,
+                   __m512i vmu_hi)
+{
+    const __m512i h_ll = MulHiU64(z, vmu_lo);
+    const V512 lh = MulFullU64x32(z, vmu_hi);
+    const __m512i mid_lo = _mm512_add_epi64(lh.lo, h_ll);
+    const __m512i q = AddCarry(lh.hi, mid_lo, h_ll);
+    __m512i r = _mm512_sub_epi64(z, MulLoU64(q, vp));
+    r = CondSub(r, v2p);
+    return CondSub(r, vp);
+}
+
+/** MulModShoup on eight lanes, strict output < p for any 64-bit x. */
+inline __m512i
+MulModShoupVec(__m512i x, __m512i vs, __m512i vsb, __m512i vp)
+{
+    const __m512i q = MulHiU64(x, vsb);
+    const __m512i r =
+        _mm512_sub_epi64(MulLoU64(x, vs), MulLoU64(q, vp));
+    return CondSub(r, vp);
+}
+
+/** FoldLazy on eight lanes: [0, 4p) -> [0, p). */
+inline __m512i
+FoldVec(__m512i x, __m512i vp, __m512i v2p)
+{
+    return CondSub(CondSub(x, v2p), vp);
+}
 
 /** The lazy CT butterfly core on eight lanes (FwdButterflyElem). */
 inline void

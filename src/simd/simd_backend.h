@@ -19,25 +19,25 @@
  *  - an AVX-512 implementation covering the full vocabulary — the
  *    butterfly family (rows, whole stages, fused radix-4 stage pairs)
  *    AND the element-wise family — at eight residues per vector op,
- *  - an AVX-512 IFMA ablation tier (vpmadd52lo/hi 52-bit limb
- *    products standing in for the 32x32 partial-product tree on the
- *    mul/mul-acc family; bench-only — see simd_avx512ifma.cpp), and
+ *    and
  *  - a NEON/arm64 implementation (2 x u64 lanes via uint64x2_t).
  *
- * Backend selection: runtime CPUID by default (best available wins:
- * avx512 > avx2 > neon > scalar; the IFMA tier is never auto-selected
- * — it measured below the DQ table, see ARCHITECTURE.md), overridable
- * with the environment variable
- * `HENTT_SIMD=scalar|avx2|avx512|avx512ifma|neon|auto` (read once, at
- * first use) or programmatically with ForceBackend() (benches and the
+ * Each ISA has exactly one kernel table. Backend selection: runtime
+ * CPUID by default (best available wins: avx512 > avx2 > neon >
+ * scalar), overridable with the environment variable
+ * `HENTT_SIMD=scalar|avx2|avx512|neon|auto` (read once, at first use)
+ * or programmatically with ForceBackend() (benches and the
  * parity tests). Requesting an unavailable backend through the
  * environment falls back to scalar with a one-line stderr warning
  * naming every backend's availability; ForceBackend() throws with the
  * same listing, so tests cannot silently measure the wrong thing.
  *
  * Adding a backend (the contract simd_neon.cpp proves): implement the
- * Kernels table in a new translation unit, register it in
- * simd_dispatch.cpp, done — no consumer changes.
+ * Kernels table in a new translation unit, declare it in
+ * simd_internal.h, add a Backend member and its kAllBackends entry,
+ * and register it in simd_dispatch.cpp — BackendAvailable, Get,
+ * BackendName, AvailabilityReason, and the owner list of
+ * DescribeKernelTable. No consumer changes.
  */
 
 #ifndef HENTT_SIMD_SIMD_BACKEND_H
@@ -52,11 +52,10 @@ namespace hentt::simd {
 
 /** Available kernel implementations. */
 enum class Backend {
-    kScalar,      ///< portable reference (always available)
-    kAvx2,        ///< 4 x u64 lanes; requires compile-time -mavx2 + CPUID
-    kAvx512,      ///< 8 x u64 lanes, full vocabulary; -mavx512f/dq + CPUID
-    kAvx512Ifma,  ///< avx512 with vpmadd52 operand products; CPUID ifma
-    kNeon,        ///< 2 x u64 lanes via uint64x2_t (arm64 AdvSIMD)
+    kScalar,  ///< portable reference (always available)
+    kAvx2,    ///< 4 x u64 lanes; requires compile-time -mavx2 + CPUID
+    kAvx512,  ///< 8 x u64 lanes, full vocabulary; -mavx512f/dq + CPUID
+    kNeon,    ///< 2 x u64 lanes via uint64x2_t (arm64 AdvSIMD)
 };
 
 /**
@@ -65,8 +64,7 @@ enum class Backend {
  * bench columns with zero per-backend edits.
  */
 inline constexpr Backend kAllBackends[] = {
-    Backend::kScalar,      Backend::kAvx2, Backend::kAvx512,
-    Backend::kAvx512Ifma,  Backend::kNeon,
+    Backend::kScalar, Backend::kAvx2, Backend::kAvx512, Backend::kNeon,
 };
 
 /** Number of Backend members (bench column arrays index by enum). */

@@ -7,11 +7,9 @@
  *
  * Auto-selection order: avx512 > avx2 > neon > scalar. The x86 tiers
  * need both the compiled-in TU and the CPUID feature; NEON is
- * mandatory on AArch64, so compiled-in means available. The IFMA
- * ablation tier is deliberately absent from auto-selection (it
- * measured below the DQ table on the mul/mul-acc family — see
- * ARCHITECTURE.md); it stays reachable explicitly so benches and the
- * parity sweep can exercise it.
+ * mandatory on AArch64, so compiled-in means available. Every
+ * available backend is also reachable explicitly, so benches and the
+ * parity sweep can exercise each ISA's one table.
  */
 
 #include "simd/simd_internal.h"
@@ -57,19 +55,7 @@ CpuHasAvx512()
 #endif
 }
 
-bool
-CpuHasAvx512Ifma()
-{
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    (defined(__x86_64__) || defined(__i386__))
-    return CpuHasAvx512() && __builtin_cpu_supports("avx512ifma");
-#else
-    return false;
-#endif
-}
-
-/** Best available backend by CPUID: avx512 > avx2 > neon > scalar.
- *  (kAvx512Ifma is explicit-only; see the file comment.) */
+/** Best available backend by CPUID: avx512 > avx2 > neon > scalar. */
 Backend
 BestAvailable()
 {
@@ -163,8 +149,6 @@ BackendAvailable(Backend backend)
         return internal::Avx2CompiledIn() && CpuHasAvx2();
       case Backend::kAvx512:
         return internal::Avx512CompiledIn() && CpuHasAvx512();
-      case Backend::kAvx512Ifma:
-        return internal::Avx512IfmaCompiledIn() && CpuHasAvx512Ifma();
       case Backend::kNeon:
         // AdvSIMD is architecturally mandatory on AArch64: compiled in
         // implies the CPU has it.
@@ -181,8 +165,6 @@ Get(Backend backend)
         return internal::Avx2Kernels();
       case Backend::kAvx512:
         return internal::Avx512Kernels();
-      case Backend::kAvx512Ifma:
-        return internal::Avx512IfmaKernels();
       case Backend::kNeon:
         return internal::NeonKernels();
       case Backend::kScalar:
@@ -243,8 +225,6 @@ BackendName(Backend backend)
         return "avx2";
       case Backend::kAvx512:
         return "avx512";
-      case Backend::kAvx512Ifma:
-        return "avx512ifma";
       case Backend::kNeon:
         return "neon";
     }
@@ -268,10 +248,6 @@ AvailabilityReason(Backend backend)
         return internal::Avx512CompiledIn()
                    ? "CPU lacks avx512f/avx512dq"
                    : "not compiled in (build lacks -mavx512f/-mavx512dq)";
-      case Backend::kAvx512Ifma:
-        return internal::Avx512IfmaCompiledIn()
-                   ? "CPU lacks avx512ifma"
-                   : "not compiled in (build lacks -mavx512ifma)";
       case Backend::kNeon:
         return "not compiled in (not an AArch64 build)";
     }
@@ -336,9 +312,8 @@ DescribeKernelTable(Backend backend)
     // Canonical tables, defining TU first: a pointer shared between
     // tables belongs to the table that defines it, so the scalar
     // reference (the ultimate borrow source) is checked before the
-    // tables that borrow from it, and avx512 before the IFMA ablation
-    // that reuses 13 of its slots. First match wins; borrowed
-    // fallbacks therefore surface under their real TU.
+    // tables that borrow from it. First match wins; borrowed fallbacks
+    // therefore surface under their real TU.
     struct Owner {
         const char *name;
         SlotView view;
@@ -346,10 +321,8 @@ DescribeKernelTable(Backend backend)
     const Owner owners[] = {
         {"scalar", slots(internal::ScalarKernels())},
         {"avx2", slots(internal::Avx2Kernels())},
-        {"avx2-allvec", slots(internal::Avx2AllVectorKernels())},
         {"neon", slots(internal::NeonKernels())},
         {"avx512", slots(internal::Avx512Kernels())},
-        {"avx512ifma", slots(internal::Avx512IfmaKernels())},
     };
     const SlotView target = slots(Get(backend));
     std::string out;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Backend-registration seam between simd_dispatch.cpp and the kernel
- * translation units. Not part of the public simd API.
+ * translation units: one table per ISA, one translation unit per
+ * table. Not part of the public simd API.
  */
 
 #ifndef HENTT_SIMD_SIMD_INTERNAL_H
@@ -15,24 +16,14 @@ namespace hentt::simd::internal {
 const Kernels &ScalarKernels();
 
 /**
- * The production AVX2 table. When the build lacks -mavx2 support this
- * returns the scalar table; pair with Avx2CompiledIn()/cpu support
- * before trusting it to be vectorized. Entries where the 32x32
- * partial-product assembly measurably loses to the scalar 64-bit
- * hardware multiply (the 128-bit Barrett reduction family) borrow the
- * scalar implementation — see Avx2AllVectorKernels for the rest.
+ * The AVX2 table. When the build lacks -mavx2 support this returns
+ * the scalar table; pair with Avx2CompiledIn()/cpu support before
+ * trusting it to be vectorized. The 128-bit Barrett reduction family
+ * and divide-and-round borrow the scalar implementation (the 32x32
+ * partial-product assembly has not measurably beaten the scalar 64-bit
+ * hardware multiply at four lanes — see ARCHITECTURE.md).
  */
 const Kernels &Avx2Kernels();
-
-/**
- * The fully-vectorized AVX2 table, Barrett family included. Kept
- * compiled and parity-tested (tests/test_simd_kernels.cpp) so a
- * microarchitecture where the vector Barrett tree wins — or an
- * AVX-512 port with vpmullq — can flip entries into the production
- * table without re-deriving the carry propagation. Same scalar
- * fallback rules as Avx2Kernels.
- */
-const Kernels &Avx2AllVectorKernels();
 
 /** Whether simd_avx2.cpp was built with AVX2 enabled. */
 bool Avx2CompiledIn();
@@ -52,22 +43,6 @@ const Kernels &Avx512Kernels();
 
 /** Whether simd_avx512.cpp was built with AVX-512F/DQ enabled. */
 bool Avx512CompiledIn();
-
-/**
- * The AVX-512 IFMA ablation table: identical to Avx512Kernels()
- * except the mul/mul-acc family (mul_barrett, mul_acc_barrett,
- * tensor), whose 64x64 -> 128 operand products are assembled from
- * vpmadd52lo/hi 52-bit limb products instead of the 32x32 tree.
- * Bench-only: never auto-selected (it measured below the DQ table on
- * this family — the limb split costs 7 multiplies per product against
- * the tree's 4; see ARCHITECTURE.md), reachable via
- * HENTT_SIMD=avx512ifma / ForceBackend for the micro_modarith
- * ablation columns. Scalar fallback rules as Avx512Kernels.
- */
-const Kernels &Avx512IfmaKernels();
-
-/** Whether simd_avx512ifma.cpp was built with AVX-512IFMA enabled. */
-bool Avx512IfmaCompiledIn();
 
 /**
  * The NEON/arm64 table (2 x u64 lanes via uint64x2_t). Vectorizes the

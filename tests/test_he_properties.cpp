@@ -265,7 +265,7 @@ HENTT_PBT_PROP(HeProperties, MulDistributesOverAdd, 100,
  * lazy unfused, and keep-range + fold must all agree word for word,
  * on strict ([0, p)) and lazy ([0, 4p)) inputs alike.
  */
-HENTT_PBT_PROP(HeProperties, LazyWalksBitIdenticalToStrict, 200,
+HENTT_PBT_PROP(HeProperties, LazyTransformsBitIdenticalToStrict, 200,
                (hentt::Xoshiro256 &rng, hentt::u64 /*case_index*/))
 {
     struct Table {

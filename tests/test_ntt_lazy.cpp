@@ -9,6 +9,7 @@
 #include "ntt/ntt_engine.h"
 #include "ntt/ntt_lazy.h"
 #include "ntt/ntt_radix2.h"
+#include "simd/simd_backend.h"
 
 namespace hentt {
 namespace {
@@ -90,38 +91,47 @@ TEST_P(LazyNttTest, AcceptsLazyRangeInputs)
 TEST_P(LazyNttTest, FusedWalkBitExactVsUnfused)
 {
     // The fused radix-4 stage walker must be bit-identical to the
-    // radix-2 walk on the ACTIVE backend — raw keep-range outputs
+    // radix-2 walk on EVERY available backend — raw keep-range outputs
     // compared, so the lazy [0, 4p) representatives must agree, not
     // merely the residues. Lazy-range inputs stress the chained
     // butterfly bounds.
     if (p_ >= (u64{1} << 61)) {
         GTEST_SKIP() << "4p would overflow for this prime";
     }
-    Xoshiro256 rng(6);
-    std::vector<u64> lazy_in(n_);
-    for (u64 &x : lazy_in) {
-        x = rng.NextBelow(4 * p_);
+    for (const simd::Backend backend : simd::kAllBackends) {
+        if (!simd::BackendAvailable(backend)) {
+            continue;
+        }
+        SCOPED_TRACE(simd::BackendName(backend));
+        simd::ForceBackend(backend);
+
+        Xoshiro256 rng(6);
+        std::vector<u64> lazy_in(n_);
+        for (u64 &x : lazy_in) {
+            x = rng.NextBelow(4 * p_);
+        }
+        std::vector<u64> fused = lazy_in, unfused = lazy_in;
+        NttRadix2LazyKeepRange(fused, *table_);
+        NttRadix2LazyKeepRangeUnfused(unfused, *table_);
+        EXPECT_EQ(fused, unfused);
+
+        // Strict-range inputs through the folding entry points.
+        const auto a = Random(7);
+        std::vector<u64> f2 = a, u2 = a;
+        NttRadix2Lazy(f2, *table_);
+        NttRadix2LazyUnfused(u2, *table_);
+        EXPECT_EQ(f2, u2);
+
+        // Inverse walkers on a valid evaluation-domain input.
+        std::vector<u64> ev = a;
+        NttRadix2(ev, *table_);
+        std::vector<u64> fi = ev, ui = ev;
+        InttRadix2Lazy(fi, *table_);
+        InttRadix2LazyUnfused(ui, *table_);
+        EXPECT_EQ(fi, ui);
+        EXPECT_EQ(fi, a);
     }
-    std::vector<u64> fused = lazy_in, unfused = lazy_in;
-    NttRadix2LazyKeepRange(fused, *table_);
-    NttRadix2LazyKeepRangeUnfused(unfused, *table_);
-    EXPECT_EQ(fused, unfused);
-
-    // Strict-range inputs through the folding entry points.
-    const auto a = Random(7);
-    std::vector<u64> f2 = a, u2 = a;
-    NttRadix2Lazy(f2, *table_);
-    NttRadix2LazyUnfused(u2, *table_);
-    EXPECT_EQ(f2, u2);
-
-    // Inverse walkers on a valid evaluation-domain input.
-    std::vector<u64> ev = a;
-    NttRadix2(ev, *table_);
-    std::vector<u64> fi = ev, ui = ev;
-    InttRadix2Lazy(fi, *table_);
-    InttRadix2LazyUnfused(ui, *table_);
-    EXPECT_EQ(fi, ui);
-    EXPECT_EQ(fi, a);
+    simd::ResetBackend();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -157,59 +167,14 @@ TEST(LazyNtt, FusedWalkerDispatchCount)
         InttRadix2Lazy(v, table);
         EXPECT_EQ(GetNttOpCounts().butterfly_stages, c.expected)
             << "inverse N=" << c.n;
-        // The ablation walker still pays one dispatch (and one pass)
-        // per level.
+        // The radix-2 reference walker still pays one dispatch (and
+        // one pass) per level.
         ResetNttOpCounts();
         NttRadix2LazyKeepRangeUnfused(v, table);
         EXPECT_EQ(GetNttOpCounts().butterfly_stages,
                   static_cast<u64>(Log2Exact(c.n)))
             << "unfused N=" << c.n;
     }
-}
-
-TEST(LazyNtt, ForceLazyWalkReroutesEveryConsumerEntryPoint)
-{
-    // The LazyWalk hook is the seam the deep-circuit bit-identity
-    // sweeps and bench/sweep_params flip: forcing kRadix2 must route
-    // the *default* entry points (the ones NttEngine/RnsPoly call)
-    // through the unfused walker — observable via the dispatch counter
-    // (log2 N dispatches instead of ceil(log2 N / 2)) — and the
-    // results must stay bit-identical to the fused walk.
-    constexpr std::size_t n = 256;
-    const u64 p = GenerateNttPrimes(2 * n, 50, 1)[0];
-    const TwiddleTable table(n, p);
-    Xoshiro256 rng(9);
-    std::vector<u64> v(n);
-    for (u64 &x : v) {
-        x = rng.NextBelow(p);
-    }
-
-    ASSERT_EQ(ActiveLazyWalk(), LazyWalk::kFusedRadix4);
-    std::vector<u64> fused = v;
-    NttRadix2Lazy(fused, table);
-
-    ForceLazyWalk(LazyWalk::kRadix2);
-    EXPECT_EQ(ActiveLazyWalk(), LazyWalk::kRadix2);
-    std::vector<u64> unfused = v;
-    ResetNttOpCounts();
-    NttRadix2Lazy(unfused, table);
-    EXPECT_EQ(GetNttOpCounts().butterfly_stages,
-              static_cast<u64>(Log2Exact(n)));
-    EXPECT_EQ(fused, unfused);
-
-    ResetNttOpCounts();
-    InttRadix2Lazy(unfused, table);
-    EXPECT_EQ(GetNttOpCounts().butterfly_stages,
-              static_cast<u64>(Log2Exact(n)));
-
-    ForceLazyWalk(LazyWalk::kFusedRadix4);
-    ResetNttOpCounts();
-    std::vector<u64> refused = v;
-    NttRadix2Lazy(refused, table);
-    EXPECT_EQ(GetNttOpCounts().butterfly_stages,
-              static_cast<u64>((Log2Exact(n) + 1) / 2));
-    EXPECT_EQ(refused, fused);
-    ResetLazyWalk();  // never leak the override into other tests
 }
 
 TEST(LazyButterfly, StaysInRange)

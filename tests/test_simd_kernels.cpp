@@ -18,7 +18,6 @@
 #include "common/random.h"
 #include "ntt/ntt_engine.h"
 #include "ntt/ntt_lazy.h"
-#include "simd/simd_internal.h"
 
 namespace hentt {
 namespace {
@@ -63,13 +62,9 @@ using SimdParityTest = ::testing::TestWithParam<std::size_t>;
 /**
  * Every non-scalar kernel table available on this host, with a label
  * for failure messages — enumerated from kAllBackends, so a new
- * backend (the IFMA ablation tier, the NEON port) joins the parity
- * sweep with zero edits here. The all-vector AVX2 table rides along
- * (it exercises the vector Barrett family and genuinely fused radix-4
- * rows even where the production AVX2 table borrows other entries).
- * On a host with no vector backend the list is empty and the sweep
- * passes vacuously — the scalar reference is the anchor, not a
- * participant.
+ * backend joins the parity sweep with zero edits here. On a host with
+ * no vector backend the list is empty and the sweep passes vacuously —
+ * the scalar reference is the anchor, not a participant.
  */
 std::vector<std::pair<std::string, const simd::Kernels *>>
 VectorTables()
@@ -82,10 +77,6 @@ VectorTables()
         }
         tables.emplace_back(simd::BackendName(backend),
                             &simd::Get(backend));
-        if (backend == simd::Backend::kAvx2) {
-            tables.emplace_back("avx2-allvec",
-                                &simd::internal::Avx2AllVectorKernels());
-        }
     }
     return tables;
 }
