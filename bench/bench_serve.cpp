@@ -9,9 +9,10 @@
  * keyless Mul→ModSwitch program. Two server configurations:
  *
  *   batched   — the Coalescer admits up to 64 requests per wavefront
- *               (max_wait 2 ms), so the tensor-product kernel runs as
- *               one batched dispatch spanning every in-flight client;
- *   unbatched — the ablation (coalesce=false): every request executes
+ *               (its fixed 2 ms admission window), so the tensor-product
+ *               kernel runs as one batched dispatch spanning every
+ *               in-flight client;
+ *   unbatched — the ablation (max_batch = 1): every request executes
  *               as its own batch of one, i.e. per-session dispatch.
  *
  * Reported per session count: per-op wall time, ops/sec, and p50/p99
@@ -289,9 +290,8 @@ BenchMain(int argc, char **argv)
 
     BatchConfig batched;
     batched.max_batch = 64;
-    batched.max_wait = std::chrono::microseconds(2000);
     BatchConfig unbatched;
-    unbatched.coalesce = false;
+    unbatched.max_batch = 1;
 
     bench::Section("batched (coalesced wavefronts)");
     double batched_per_op_ns[4] = {};

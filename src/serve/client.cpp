@@ -67,7 +67,9 @@ Client::Connect(const std::string &socket_path)
 }
 
 Result<Frame>
-Client::RoundTrip(FrameType type, std::vector<u8> payload)
+Client::RoundTrip(FrameType type, std::vector<u8> payload,
+                  const char *caller, FrameType expect,
+                  FrameType also_expect)
 {
     Frame request;
     request.type = type;
@@ -87,22 +89,27 @@ Client::RoundTrip(FrameType type, std::vector<u8> payload)
         }
         return WireStatusToStatus(*ws);
     }
+    if (reply->type != expect && reply->type != also_expect) {
+        std::string expected = FrameTypeName(expect);
+        if (also_expect != FrameType::kError) {
+            expected += std::string("/") + FrameTypeName(also_expect);
+        }
+        return Status(ErrorCode::kInternal,
+                      "expected " + expected + ", got " +
+                          FrameTypeName(reply->type))
+            .WithFrame(caller);
+    }
     return reply;
 }
 
 Result<u64>
 Client::CreateSession(const he::HeParams &params)
 {
-    Result<Frame> reply = RoundTrip(FrameType::kCreateSession,
-                                    EncodeParams(ToWire(params)));
+    Result<Frame> reply =
+        RoundTrip(FrameType::kCreateSession, EncodeParams(ToWire(params)),
+                  "Client::CreateSession", FrameType::kSessionCreated);
     if (!reply.ok()) {
         return reply.status();
-    }
-    if (reply->type != FrameType::kSessionCreated) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected SessionCreated, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::CreateSession");
     }
     Result<u64> id = DecodeU64Payload(reply->payload);
     if (!id.ok()) {
@@ -122,18 +129,9 @@ Client::CreateSession(const he::HeParams &params)
 Status
 Client::LoadKeys(const he::RelinKey &rk)
 {
-    Result<Frame> reply =
-        RoundTrip(FrameType::kLoadKeys, EncodeRelinKey(ToWire(rk)));
-    if (!reply.ok()) {
-        return reply.status();
-    }
-    if (reply->type != FrameType::kOk) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected Ok, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::LoadKeys");
-    }
-    return Status::Ok();
+    return RoundTrip(FrameType::kLoadKeys, EncodeRelinKey(ToWire(rk)),
+                     "Client::LoadKeys", FrameType::kOk)
+        .status();
 }
 
 Result<u64>
@@ -149,15 +147,10 @@ Client::SubmitGraph(const std::vector<he::Ciphertext> &inputs,
     program.ops = ops;
     program.outputs = outputs;
     Result<Frame> reply =
-        RoundTrip(FrameType::kSubmitGraph, EncodeProgram(program));
+        RoundTrip(FrameType::kSubmitGraph, EncodeProgram(program),
+                  "Client::SubmitGraph", FrameType::kSubmitted);
     if (!reply.ok()) {
         return reply.status();
-    }
-    if (reply->type != FrameType::kSubmitted) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected Submitted, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::SubmitGraph");
     }
     Result<u64> id = DecodeU64Payload(reply->payload);
     if (!id.ok()) {
@@ -170,19 +163,14 @@ Result<Client::Outcome>
 Client::Poll(u64 request_id)
 {
     Result<Frame> reply =
-        RoundTrip(FrameType::kPoll, EncodeU64Payload(request_id));
+        RoundTrip(FrameType::kPoll, EncodeU64Payload(request_id),
+                  "Client::Poll", FrameType::kDone, FrameType::kPending);
     if (!reply.ok()) {
         return reply.status();
     }
     Outcome outcome;
     if (reply->type == FrameType::kPending) {
         return outcome;
-    }
-    if (reply->type != FrameType::kDone) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected Done/Pending, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::Poll");
     }
     if (ctx_ == nullptr) {
         return Status(ErrorCode::kFailedPrecondition,
@@ -220,8 +208,8 @@ Client::AwaitDone(u64 request_id)
         }
         // The daemon has no notification channel (polling keeps the
         // protocol stateless between frames); a short sleep bounds the
-        // busy-wait without adding meaningful latency at max_wait
-        // granularity.
+        // busy-wait without adding meaningful latency next to the
+        // coalescer's 2 ms admission window.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
 }
@@ -229,31 +217,17 @@ Client::AwaitDone(u64 request_id)
 Status
 Client::Ping()
 {
-    Result<Frame> reply = RoundTrip(FrameType::kPing, {});
-    if (!reply.ok()) {
-        return reply.status();
-    }
-    if (reply->type != FrameType::kPong) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected Pong, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::Ping");
-    }
-    return Status::Ok();
+    return RoundTrip(FrameType::kPing, {}, "Client::Ping", FrameType::kPong)
+        .status();
 }
 
 Result<WireStats>
 Client::Stats()
 {
-    Result<Frame> reply = RoundTrip(FrameType::kGetStats, {});
+    Result<Frame> reply = RoundTrip(FrameType::kGetStats, {},
+                                    "Client::Stats", FrameType::kStatsReply);
     if (!reply.ok()) {
         return reply.status();
-    }
-    if (reply->type != FrameType::kStatsReply) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected StatsReply, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::Stats");
     }
     Result<WireStats> stats = DecodeStats(reply->payload);
     if (!stats.ok()) {
@@ -265,34 +239,20 @@ Client::Stats()
 Status
 Client::CloseSession()
 {
-    Result<Frame> reply = RoundTrip(FrameType::kCloseSession, {});
-    if (!reply.ok()) {
-        return reply.status();
+    Result<Frame> reply = RoundTrip(FrameType::kCloseSession, {},
+                                    "Client::CloseSession", FrameType::kOk);
+    if (reply.ok()) {
+        ctx_.reset();
     }
-    if (reply->type != FrameType::kOk) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected Ok, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::CloseSession");
-    }
-    ctx_.reset();
-    return Status::Ok();
+    return reply.status();
 }
 
 Status
 Client::Shutdown()
 {
-    Result<Frame> reply = RoundTrip(FrameType::kShutdown, {});
-    if (!reply.ok()) {
-        return reply.status();
-    }
-    if (reply->type != FrameType::kOk) {
-        return Status(ErrorCode::kInternal,
-                      std::string("expected Ok, got ") +
-                          FrameTypeName(reply->type))
-            .WithFrame("Client::Shutdown");
-    }
-    return Status::Ok();
+    return RoundTrip(FrameType::kShutdown, {}, "Client::Shutdown",
+                     FrameType::kOk)
+        .status();
 }
 
 }  // namespace hentt::serve

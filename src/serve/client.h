@@ -104,9 +104,13 @@ class Client
 
     /** Send one request frame, read one reply. A kError reply is
      *  reassembled into the daemon's Status and returned as the
-     *  error; anything else is handed back for dispatch. */
-    [[nodiscard]] Result<Frame> RoundTrip(FrameType type,
-                                          std::vector<u8> payload);
+     *  error; a reply of neither @p expect nor @p also_expect is a
+     *  kInternal error framed with @p caller; anything else is handed
+     *  back for dispatch. kError (never handed back) as @p also_expect
+     *  means no second type. */
+    [[nodiscard]] Result<Frame>
+    RoundTrip(FrameType type, std::vector<u8> payload, const char *caller,
+              FrameType expect, FrameType also_expect = FrameType::kError);
 
     int fd_ = -1;
     u32 protocol_version_ = 0;

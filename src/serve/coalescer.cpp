@@ -112,7 +112,7 @@ Coalescer::Submit(std::shared_ptr<Session> session,
         }
         id = next_request_id_++;
         request.id = id;
-        inflight_[id] = request.session->id;
+        requests_[id].owner = request.session->id;
         queue_.push_back(std::move(request));
         queued = queue_.size();
         ++stats_.requests_submitted;
@@ -148,27 +148,26 @@ UnknownRequest(u64 request_id, const char *frame)
 }  // namespace
 
 PollResult
+Coalescer::TakeLocked(u64 request_id, u64 session_id, const char *frame)
+{
+    auto it = requests_.find(request_id);
+    if (it == requests_.end() || it->second.owner != session_id) {
+        // Not this session's request: leave it for its owner.
+        return UnknownRequest(request_id, frame);
+    }
+    if (!it->second.result.done) {
+        return PollResult{};  // still queued or executing
+    }
+    PollResult result = std::move(it->second.result);
+    requests_.erase(it);
+    return result;
+}
+
+PollResult
 Coalescer::Poll(u64 request_id, u64 session_id)
 {
     MutexLock lock(mutex_);
-    auto it = done_.find(request_id);
-    if (it != done_.end()) {
-        auto owner = done_owner_.find(request_id);
-        if (owner == done_owner_.end() ||
-            owner->second != session_id) {
-            // Not this session's result: leave it for its owner.
-            return UnknownRequest(request_id, "Coalescer::Poll");
-        }
-        PollResult result = std::move(it->second);
-        done_.erase(it);
-        done_owner_.erase(owner);
-        return result;
-    }
-    auto in = inflight_.find(request_id);
-    if (in != inflight_.end() && in->second == session_id) {
-        return PollResult{};  // still queued or executing
-    }
-    return UnknownRequest(request_id, "Coalescer::Poll");
+    return TakeLocked(request_id, session_id, "Coalescer::Poll");
 }
 
 PollResult
@@ -176,22 +175,10 @@ Coalescer::Wait(u64 request_id, u64 session_id)
 {
     MutexLock lock(mutex_);
     for (;;) {
-        auto it = done_.find(request_id);
-        if (it != done_.end()) {
-            auto owner = done_owner_.find(request_id);
-            if (owner == done_owner_.end() ||
-                owner->second != session_id) {
-                return UnknownRequest(request_id,
-                                      "Coalescer::Wait");
-            }
-            PollResult result = std::move(it->second);
-            done_.erase(it);
-            done_owner_.erase(owner);
+        PollResult result =
+            TakeLocked(request_id, session_id, "Coalescer::Wait");
+        if (result.done) {
             return result;
-        }
-        auto in = inflight_.find(request_id);
-        if (in == inflight_.end() || in->second != session_id) {
-            return UnknownRequest(request_id, "Coalescer::Wait");
         }
         cv_done_.wait(mutex_);
     }
@@ -208,17 +195,11 @@ Coalescer::DropSessionRequests(u64 session_id)
             ++it;
         }
     }
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second == session_id) {
-            it = inflight_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    for (auto it = done_owner_.begin(); it != done_owner_.end();) {
-        if (it->second == session_id) {
-            done_.erase(it->first);
-            it = done_owner_.erase(it);
+    // Executing requests lose their entry here, so their results are
+    // discarded when they land; settled ones are freed.
+    for (auto it = requests_.begin(); it != requests_.end();) {
+        if (it->second.owner == session_id) {
+            it = requests_.erase(it);
         } else {
             ++it;
         }
@@ -245,27 +226,21 @@ Coalescer::WorkerLoop()
             if (stop_) {
                 break;
             }
-            if (config_.coalesce &&
-                queue_.size() < config_.max_batch) {
-                // Admission window: hold the batch open for more
-                // arrivals until the oldest request's deadline.
-                const auto deadline =
-                    queue_.front().arrival + config_.max_wait;
-                while (!stop_ &&
-                       queue_.size() < config_.max_batch &&
-                       std::chrono::steady_clock::now() < deadline) {
-                    cv_work_.wait_until(mutex_, deadline);
-                }
-                if (stop_) {
-                    break;
-                }
+            // Admission window: hold the batch open for more arrivals
+            // until the oldest request's deadline. At max_batch = 1
+            // the first request already fills it, so it never opens.
+            const auto deadline = queue_.front().arrival + kAdmissionWindow;
+            while (!stop_ && queue_.size() < config_.max_batch &&
+                   std::chrono::steady_clock::now() < deadline) {
+                cv_work_.wait_until(mutex_, deadline);
+            }
+            if (stop_) {
+                break;
             }
             const std::size_t take =
-                config_.coalesce
-                    ? std::min(queue_.size(), config_.max_batch)
-                    : std::size_t{1};
+                std::min(queue_.size(), config_.max_batch);
             batch.reserve(take);
-            for (std::size_t i = 0; i < take && !queue_.empty(); ++i) {
+            for (std::size_t i = 0; i < take; ++i) {
                 batch.push_back(std::move(queue_.front()));
                 queue_.pop_front();
             }
@@ -282,19 +257,16 @@ Coalescer::WorkerLoop()
         {
             MutexLock lock(mutex_);
             for (std::pair<u64, PollResult> &entry : results) {
-                auto it = inflight_.find(entry.first);
-                if (it == inflight_.end()) {
+                auto it = requests_.find(entry.first);
+                if (it == requests_.end()) {
                     continue;  // dropped while executing: discard
                 }
-                const u64 owner = it->second;
-                inflight_.erase(it);
                 if (entry.second.status.ok()) {
                     ++stats_.requests_completed;
                 } else {
                     ++stats_.requests_failed;
                 }
-                done_[entry.first] = std::move(entry.second);
-                done_owner_[entry.first] = owner;
+                it->second.result = std::move(entry.second);
             }
         }
         cv_done_.notify_all();
@@ -304,17 +276,13 @@ Coalescer::WorkerLoop()
     {
         MutexLock lock(mutex_);
         while (!queue_.empty()) {
-            Request request = std::move(queue_.front());
+            PollResult &result = requests_[queue_.front().id].result;
             queue_.pop_front();
-            inflight_.erase(request.id);
-            PollResult result;
             result.done = true;
             result.status = Status(ErrorCode::kUnavailable,
                                    "daemon stopped before the request "
                                    "executed")
                                 .WithFrame("Coalescer::WorkerLoop");
-            done_[request.id] = std::move(result);
-            done_owner_[request.id] = request.session->id;
         }
     }
     cv_done_.notify_all();

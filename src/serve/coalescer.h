@@ -9,9 +9,12 @@
  * ops, and the coalescer amortises it across *clients*. Requests from
  * any number of sessions land in one queue; a worker admits up to
  * max_batch of them into a single graph, so every pool dispatch of
- * every wavefront stage spans all in-flight traffic. A max-wait
- * deadline bounds the admission window — a lone client pays at most
- * max_wait of added latency, never an unbounded starve.
+ * every wavefront stage spans all in-flight traffic. A fixed admission
+ * window (kAdmissionWindow, 2 ms past the oldest queued arrival) bounds
+ * how long a batch stays open — a lone client pays at most the window
+ * of added latency, never an unbounded starve. max_batch = 1 is the
+ * unbatched ablation: the window never opens and every request runs as
+ * its own batch.
  *
  * Key handling: the batch graph carries per-node relinearization keys
  * (each request's ops point at the key version its session had loaded
@@ -43,16 +46,11 @@
 
 namespace hentt::serve {
 
-/** Admission-control knobs. */
+/** Admission control: the one knob. */
 struct BatchConfig {
-    /** Most requests admitted into one wavefront batch. */
+    /** Most requests admitted into one wavefront batch; 1 is the
+     *  unbatched ablation (bench_serve's comparison baseline). */
     std::size_t max_batch = 64;
-    /** Longest the admission window stays open once a request is
-     *  queued — the lone-client latency bound. */
-    std::chrono::microseconds max_wait{2000};
-    /** false = the unbatched ablation: every request executes as its
-     *  own batch of one (bench_serve's comparison baseline). */
-    bool coalesce = true;
 };
 
 /** Outcome of polling a request. */
@@ -128,6 +126,13 @@ class Coalescer
     }
 
   private:
+    /** How long a batch stays open for more arrivals past the oldest
+     *  queued request's arrival. Fixed: dropping it without also
+     *  ending head-of-line blocking behind heavy graphs regresses the
+     *  small requests of mixed traffic (ROADMAP items 1 and 2), and no
+     *  deployment runs another value. */
+    static constexpr std::chrono::microseconds kAdmissionWindow{2000};
+
     struct Request {
         u64 id = 0;
         std::shared_ptr<Session> session;
@@ -141,7 +146,20 @@ class Coalescer
         std::chrono::steady_clock::time_point arrival;
     };
 
+    /** One request id's entry in requests_: queued or executing while
+     *  result.done is false, then the settled, not-yet-polled result. */
+    struct Tracked {
+        u64 owner = 0;  ///< submitting session id
+        PollResult result;
+    };
+
     void WorkerLoop() HENTT_EXCLUDES(mutex_);
+
+    /** Poll/Wait's shared lookup: the settled result (consumed), a
+     *  not-done PollResult while pending, or UnknownRequest when the id
+     *  is absent or @p session_id does not own it. */
+    PollResult TakeLocked(u64 request_id, u64 session_id,
+                          const char *frame) HENTT_REQUIRES(mutex_);
 
     /** Run one admitted batch through a shared HeOpGraph per engine
      *  state. Called with no serve lock held. */
@@ -158,14 +176,9 @@ class Coalescer
     bool started_ HENTT_GUARDED_BY(mutex_) = false;
     u64 next_request_id_ HENTT_GUARDED_BY(mutex_) = 1;
     std::deque<Request> queue_ HENTT_GUARDED_BY(mutex_);
-    /** Requests admitted or queued, keyed by id → owning session id.
-     *  Erased when the result lands (or the request is dropped). */
-    std::map<u64, u64> inflight_ HENTT_GUARDED_BY(mutex_);
-    /** Settled, not-yet-polled results, id → result. */
-    std::map<u64, PollResult> done_ HENTT_GUARDED_BY(mutex_);
-    /** Owning session of each done_ entry (so a closing connection can
-     *  free results nobody will poll). */
-    std::map<u64, u64> done_owner_ HENTT_GUARDED_BY(mutex_);
+    /** Every live request id from Submit until its result is polled
+     *  (or its session drops it). */
+    std::map<u64, Tracked> requests_ HENTT_GUARDED_BY(mutex_);
     WireStats stats_ HENTT_GUARDED_BY(mutex_);
 
     std::thread worker_;

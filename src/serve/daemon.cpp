@@ -146,11 +146,9 @@ Daemon::Wait()
     std::vector<std::thread> threads;
     {
         MutexLock lock(mutex_);
-        for (const int fd : conn_fds_) {
+        for (auto &[fd, thread] : conn_threads_) {
             ::shutdown(fd, SHUT_RDWR);
-        }
-        for (auto &entry : conn_threads_) {
-            threads.push_back(std::move(entry.second));
+            threads.push_back(std::move(thread));
         }
         conn_threads_.clear();
         for (std::thread &thread : done_threads_) {
@@ -230,7 +228,6 @@ Daemon::AcceptLoop()
                 ::close(fd);
                 return;  // Wait() joins the remaining threads
             }
-            conn_fds_.insert(fd);
             conn_threads_.emplace(
                 fd, std::thread([this, fd] { ServeConnection(fd); }));
             finished.swap(done_threads_);
@@ -286,7 +283,6 @@ Daemon::ServeConnection(int fd)
     }
     {
         MutexLock lock(mutex_);
-        conn_fds_.erase(fd);
         // Hand our own (still-running) handle to the reap list;
         // AcceptLoop or Wait() joins it after we return. Absent when
         // Wait() already claimed it for the shutdown join.

@@ -28,7 +28,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,12 +119,11 @@ class Daemon
     bool running_ HENTT_GUARDED_BY(mutex_) = false;
     bool stop_requested_ HENTT_GUARDED_BY(mutex_) = false;
     int listen_fd_ HENTT_GUARDED_BY(mutex_) = -1;
-    std::set<int> conn_fds_ HENTT_GUARDED_BY(mutex_);
-    /** Live connection threads, keyed by their fd. A finishing
-     *  connection moves its own handle to done_threads_; AcceptLoop
-     *  reaps that list on every accept, so a long-lived daemon never
-     *  accumulates unjoined handles (Wait() joins whatever is left
-     *  of both at shutdown). */
+    /** Live connection threads, keyed by their fd (Wait() shuts each
+     *  fd down to wake its ReadFrame). A finishing connection moves
+     *  its own handle to done_threads_; AcceptLoop reaps that list on
+     *  every accept, so a long-lived daemon never accumulates unjoined
+     *  handles (Wait() joins whatever is left of both at shutdown). */
     std::map<int, std::thread> conn_threads_ HENTT_GUARDED_BY(mutex_);
     std::vector<std::thread> done_threads_ HENTT_GUARDED_BY(mutex_);
 

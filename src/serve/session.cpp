@@ -9,7 +9,7 @@ SessionManager::Create(const he::HeParams &params)
 {
     // Engine-state acquisition (table builds on a cache miss) runs
     // outside the registry lock — one slow CreateSession must not
-    // stall lookups from other connections.
+    // stall other connections' registry calls.
     std::shared_ptr<const he::HeEngineState> state;
     try {
         state = he::HeEngineState::Acquire(params);
@@ -25,19 +25,6 @@ SessionManager::Create(const he::HeParams &params)
     ++created_;
     sessions_[session->id] = session;
     return session;
-}
-
-Result<std::shared_ptr<Session>>
-SessionManager::Get(u64 id)
-{
-    MutexLock lock(mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) {
-        return Status(ErrorCode::kFailedPrecondition,
-                      "no live session with id " + std::to_string(id))
-            .WithFrame("SessionManager::Get");
-    }
-    return it->second;
 }
 
 void

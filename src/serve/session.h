@@ -85,10 +85,6 @@ class SessionManager
     [[nodiscard]] Result<std::shared_ptr<Session>>
     Create(const he::HeParams &params) HENTT_EXCLUDES(mutex_);
 
-    /** Look up a live session; kFailedPrecondition when unknown. */
-    [[nodiscard]] Result<std::shared_ptr<Session>> Get(u64 id)
-        HENTT_EXCLUDES(mutex_);
-
     /** Drop a session from the registry (outstanding shared_ptrs stay
      *  valid until released). Idempotent. */
     void Close(u64 id) HENTT_EXCLUDES(mutex_);

@@ -11,7 +11,8 @@
  *   - every failure — protocol misuse, malformed bytes, missing keys,
  *     injected faults — reaches the client as a Status with the
  *     daemon's provenance, and the daemon keeps serving afterwards;
- *   - a dying connection takes its session with it (no orphans);
+ *   - a dying connection takes its session with it (no orphans), and
+ *     its queued and executing requests with it;
  *   - shutdown over the wire stops the daemon cleanly.
  *
  * The fault-injection cases arm the serve.request site and are skipped
@@ -30,11 +31,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/mutex.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 
@@ -174,76 +177,62 @@ TEST_F(ServeE2E, EncryptedRoundTripMatchesLocalEvaluation)
 
 TEST_F(ServeE2E, ConcurrentClientsCoalesceIntoSharedBatches)
 {
-    // A wide admission window guarantees concurrently submitted
-    // requests land in one batch; the stats must prove it.
-    BatchConfig batch;
-    batch.max_batch = 64;
-    batch.max_wait = std::chrono::microseconds(200000);
-    StartDaemon("batch", batch);
-
+    // Deterministic batching proof: the first request parks the worker
+    // inside its batch (the test holds the arena its kernels lock),
+    // five more clients submit meanwhile, and on release the five
+    // queued requests must share the next batch.
+    StartDaemon("batch");
     const he::HeParams params = SmallParams();
     constexpr int kClients = 6;
-    std::vector<std::thread> threads;
-    std::vector<Status> outcomes(kClients);
+    std::vector<std::unique_ptr<Client>> clients;
+    std::vector<std::unique_ptr<he::BgvScheme>> schemes;
+    std::vector<he::SecretKey> keys;
+    std::vector<he::Ciphertext> cts;
     for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([this, &params, &outcomes, c] {
-            Result<std::unique_ptr<Client>> client =
-                Client::Connect(daemon_->socket_path());
-            if (!client.ok()) {
-                outcomes[c] = client.status();
-                return;
-            }
-            Result<u64> session = (*client)->CreateSession(params);
-            if (!session.ok()) {
-                outcomes[c] = session.status();
-                return;
-            }
-            he::BgvScheme scheme((*client)->context(),
-                                 /*seed=*/100 + c);
-            he::SecretKey sk = scheme.KeyGen();
-            he::Plaintext m(params.degree, static_cast<u64>(c + 1));
-            he::Ciphertext ct = scheme.Encrypt(sk, m);
+        clients.push_back(NewClient());
+        ASSERT_NE(clients.back(), nullptr);
+        Result<u64> session = clients.back()->CreateSession(params);
+        ASSERT_TRUE(session.ok()) << session.status().ToString();
+        schemes.push_back(std::make_unique<he::BgvScheme>(
+            clients.back()->context(), /*seed=*/100 + c));
+        keys.push_back(schemes.back()->KeyGen());
+        cts.push_back(schemes.back()->Encrypt(
+            keys.back(),
+            he::Plaintext(params.degree, static_cast<u64>(c + 1))));
+    }
+    std::vector<u64> requests;
+    {
+        MutexLock hold(daemon_->coalescer().arena()->mutex());
+        for (int c = 0; c < kClients; ++c) {
             // Keyless program (Add): batches across every client
             // regardless of their (distinct, unloaded) keys.
-            Result<u64> request = (*client)->SubmitGraph(
-                {ct, ct}, {{WireOp::kAdd, 0, 1}}, {2});
-            if (!request.ok()) {
-                outcomes[c] = request.status();
-                return;
+            Result<u64> request = clients[c]->SubmitGraph(
+                {cts[c], cts[c]}, {{WireOp::kAdd, 0, 1}}, {2});
+            ASSERT_TRUE(request.ok()) << request.status().ToString();
+            requests.push_back(*request);
+            if (c == 0) {
+                ASSERT_TRUE(EventuallyTrue([this] {
+                    return daemon_->Stats().batches_executed == 1;
+                }));
             }
-            Result<std::vector<he::Ciphertext>> outputs =
-                (*client)->AwaitDone(*request);
-            if (!outputs.ok()) {
-                outcomes[c] = outputs.status();
-                return;
-            }
-            he::Plaintext expected(params.degree,
-                                   static_cast<u64>(2 * (c + 1)) %
-                                       params.plain_modulus);
-            if (scheme.Decrypt(sk, outputs->front()) != expected) {
-                outcomes[c] = Status(ErrorCode::kInternal,
-                                     "decrypted sum mismatch");
-            }
-        });
-    }
-    for (std::thread &thread : threads) {
-        thread.join();
+        }
+        EXPECT_EQ(daemon_->Stats().requests_completed, 0u)
+            << "the first batch finished without the arena";
     }
     for (int c = 0; c < kClients; ++c) {
-        EXPECT_TRUE(outcomes[c].ok())
-            << "client " << c << ": " << outcomes[c].ToString();
+        Result<std::vector<he::Ciphertext>> outputs =
+            clients[c]->AwaitDone(requests[c]);
+        ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+        EXPECT_EQ(schemes[c]->Decrypt(keys[c], outputs->front()),
+                  he::Plaintext(params.degree,
+                                static_cast<u64>(2 * (c + 1))))
+            << "client " << c;
     }
     const WireStats stats = daemon_->Stats();
-    EXPECT_EQ(stats.requests_completed,
-              static_cast<u64>(kClients));
-    // The batching proof: at least one batch held >1 request. (All six
-    // submits race one 200ms admission window, so in practice all of
-    // them share a batch; >1 is the robust floor.)
-    EXPECT_GT(stats.max_batch_observed, 1u)
-        << "no cross-client coalescing observed: "
-        << stats.batches_executed << " batches for " << kClients
-        << " requests";
-    EXPECT_GT(stats.coalesced_requests, 0u);
+    EXPECT_EQ(stats.requests_completed, static_cast<u64>(kClients));
+    EXPECT_EQ(stats.batches_executed, 2u);
+    EXPECT_EQ(stats.max_batch_observed, 5u);
+    EXPECT_EQ(stats.coalesced_requests, 5u);
 }
 
 TEST_F(ServeE2E, ErrorsArriveAsStatusWithDaemonProvenance)
@@ -413,6 +402,52 @@ TEST_F(ServeE2E, DyingConnectionLeavesNoOrphanedSession)
     EXPECT_TRUE(client->Ping().ok());
 }
 
+TEST_F(ServeE2E, ClientDyingMidRequestDropsItsWork)
+{
+    // A client dies with one request executing (the worker is parked
+    // inside its batch on the held arena) and one queued behind it.
+    // Teardown drops both: the queued one never runs, the executing
+    // one's result is discarded when it lands, and the daemon keeps
+    // serving.
+    StartDaemon("midrequest");
+    std::unique_ptr<Client> client = NewClient();
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->CreateSession(SmallParams()).ok());
+    he::BgvScheme scheme(client->context(), /*seed=*/13);
+    he::SecretKey sk = scheme.KeyGen();
+    he::Ciphertext ct =
+        scheme.Encrypt(sk, he::Plaintext(SmallParams().degree, 3));
+    {
+        MutexLock hold(daemon_->coalescer().arena()->mutex());
+        ASSERT_TRUE(client
+                        ->SubmitGraph({ct, ct}, {{WireOp::kAdd, 0, 1}},
+                                      {2})
+                        .ok());
+        ASSERT_TRUE(EventuallyTrue([this] {
+            return daemon_->Stats().batches_executed == 1;
+        }));
+        ASSERT_TRUE(client
+                        ->SubmitGraph({ct, ct}, {{WireOp::kAdd, 0, 1}},
+                                      {2})
+                        .ok());
+        client.reset();  // abrupt death: no CloseSession
+        EXPECT_TRUE(EventuallyTrue(
+            [this] { return daemon_->Stats().sessions_active == 0; }))
+            << "session survived its connection";
+    }
+    std::unique_ptr<Client> survivor = NewClient();
+    ASSERT_NE(survivor, nullptr);
+    EXPECT_TRUE(survivor->Ping().ok());
+    survivor.reset();
+    // Stop joins the worker, so the parked batch has landed (and been
+    // discarded) before the counters are read.
+    daemon_->Stop();
+    const WireStats stats = daemon_->Stats();
+    EXPECT_EQ(stats.batches_executed, 1u);
+    EXPECT_EQ(stats.requests_completed, 0u);
+    EXPECT_EQ(stats.requests_failed, 0u);
+}
+
 TEST_F(ServeE2E, ShutdownOverTheWire)
 {
     StartDaemon("shutdown");
@@ -531,10 +566,10 @@ TEST_F(ServeE2E, ChaosSweepNeverKillsTheDaemon)
 
 TEST_F(ServeE2E, UnbatchedAblationStillServes)
 {
-    // coalesce=false (the bench baseline) must be functionally
+    // max_batch = 1 (the bench baseline) must be functionally
     // identical — only slower.
     BatchConfig batch;
-    batch.coalesce = false;
+    batch.max_batch = 1;
     StartDaemon("nobatch", batch);
     std::unique_ptr<Client> client = NewClient();
     ASSERT_NE(client, nullptr);

@@ -4,6 +4,8 @@
  * requests until SIGINT/SIGTERM or a client's Shutdown frame.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -23,11 +25,27 @@ Usage(const char *argv0)
         << "usage: " << argv0 << " --socket PATH [options]\n"
         << "  --socket PATH      unix-domain socket to listen on\n"
         << "  --max-batch N      requests coalesced per wavefront "
-           "batch (default 64)\n"
-        << "  --max-wait-us N    admission-window deadline in "
-           "microseconds (default 2000)\n"
-        << "  --no-coalesce      execute every request as a batch of "
-           "one (ablation)\n";
+           "batch, N >= 1 (default 64;\n"
+        << "                     1 runs every request alone, the "
+           "unbatched ablation)\n";
+}
+
+/** Parse a decimal integer >= 1; false on anything else. */
+bool
+ParseMaxBatch(const char *text, std::size_t &out)
+{
+    // strtoull alone would take leading spaces, a sign, and "-1".
+    if (std::isdigit(static_cast<unsigned char>(*text)) == 0) {
+        return false;
+    }
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || value == 0) {
+        return false;
+    }
+    out = static_cast<std::size_t>(value);
+    return true;
 }
 
 }  // namespace
@@ -40,14 +58,9 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--socket" && i + 1 < argc) {
             config.socket_path = argv[++i];
-        } else if (arg == "--max-batch" && i + 1 < argc) {
-            config.batch.max_batch =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-wait-us" && i + 1 < argc) {
-            config.batch.max_wait =
-                std::chrono::microseconds(std::atoll(argv[++i]));
-        } else if (arg == "--no-coalesce") {
-            config.batch.coalesce = false;
+        } else if (arg == "--max-batch" && i + 1 < argc &&
+                   ParseMaxBatch(argv[i + 1], config.batch.max_batch)) {
+            ++i;
         } else {
             Usage(argv[0]);
             return arg == "--help" ? 0 : 1;
@@ -74,10 +87,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << "hentt-daemon listening on " << config.socket_path
-              << " (max_batch=" << config.batch.max_batch
-              << ", max_wait_us=" << config.batch.max_wait.count()
-              << ", coalesce="
-              << (config.batch.coalesce ? "on" : "off") << ")"
+              << " (max_batch=" << config.batch.max_batch << ")"
               << std::endl;
 
     std::thread signal_thread([&stop_signals, &daemon] {
