@@ -8,10 +8,11 @@
  * Scenario: S independent sessions (1/8/64/512), each submitting a
  * keyless Mul→ModSwitch program. Two server configurations:
  *
- *   batched   — the Coalescer admits up to 64 requests per wavefront
- *               (its fixed 2 ms admission window), so the tensor-product
- *               kernel runs as one batched dispatch spanning every
- *               in-flight client;
+ *   batched   — the Coalescer admits up to 64 requests per batch
+ *               (requests queued while the worker runs one batch share
+ *               the next; there is no admission timer), so the
+ *               tensor-product kernel runs as one batched dispatch
+ *               spanning every in-flight client;
  *   unbatched — the ablation (max_batch = 1): every request executes
  *               as its own batch of one, i.e. per-session dispatch.
  *
@@ -19,9 +20,11 @@
  * request latency (submit → settled). The acceptance series is
  * speedup_batched_vs_unbatched at 64 sessions — cross-client batching
  * must beat per-session dispatch, and the bench exits non-zero if it
- * does not. steady_state_allocs proves the serve hot loop (the
- * wavefront batch kernel on a warm arena with reused outputs) stays
- * off the heap; the per-request bookkeeping (queue nodes, result
+ * does not. The 1-session row must stay under 1 ms per request: a lone
+ * request starts as soon as the worker is free, so a slower row means
+ * a hold on admission came back. steady_state_allocs proves the serve
+ * hot loop (the wavefront batch kernel on a warm arena with reused
+ * outputs) stays off the heap; the per-request bookkeeping (queue nodes, result
  * maps) is intentionally outside that loop.
  *
  * Emits BENCH_serve.json (schema in docs/BENCHMARKS.md). Timing series
@@ -120,6 +123,12 @@ struct WaveResult {
 /** Waves per timed rep: enough consecutive waves that one rep spans
  *  tens of milliseconds, riding out scheduler noise on small hosts. */
 constexpr int kWavesPerRep = 8;
+
+/** Exit gate on the 1-session row. One N=64 Mul→ModSwitch request
+ *  costs tens of microseconds end to end, so any fixed hold on
+ *  admission (a batching window of a millisecond or more) shows up as
+ *  its whole length. */
+constexpr double kLoneRequestLimitNs = 1e6;
 
 /**
  * Run timed reps (plus one warm-up) of @p kWavesPerRep consecutive
@@ -419,6 +428,13 @@ BenchMain(int argc, char **argv)
                      "unbatched ablation at %zu sessions "
                      "(speedup %.3f)\n",
                      kAblationSessions, speedup);
+        return 1;
+    }
+    if (batched_per_op_ns[0] >= kLoneRequestLimitNs) {
+        std::fprintf(stderr,
+                     "FAIL: a lone request took %.1f us (limit %.0f us): "
+                     "admission held it instead of starting it\n",
+                     batched_per_op_ns[0] / 1e3, kLoneRequestLimitNs / 1e3);
         return 1;
     }
     if (max_batch_64 <= 1) {

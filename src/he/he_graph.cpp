@@ -225,8 +225,8 @@ HeOpGraph::Execute()
     ExecuteLocked();
 }
 
-void
-HeOpGraph::ExecuteLocked()
+std::size_t
+HeOpGraph::PlanLocked(std::vector<std::size_t> &depth)
 {
     // Auto-fusion pass: a pending Relinearize whose ONLY consumer is a
     // pending ModSwitch collapses into that consumer as one fused
@@ -288,7 +288,7 @@ HeOpGraph::ExecuteLocked()
     // nodes_ (append-only), so one ascending pass assigns each pending
     // node 1 + the max depth of its pending operands (computed nodes
     // count as depth 0).
-    std::vector<std::size_t> depth(nodes_.size(), 0);
+    depth.assign(nodes_.size(), 0);
     std::size_t max_depth = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (nodes_[i].done || nodes_[i].fused_away) {
@@ -297,6 +297,27 @@ HeOpGraph::ExecuteLocked()
         depth[i] = 1 + std::max(depth[nodes_[i].a], depth[nodes_[i].b]);
         max_depth = std::max(max_depth, depth[i]);
     }
+    return max_depth;
+}
+
+std::size_t
+HeOpGraph::PendingWavefronts()
+{
+    MutexLock lock(mutex_);
+    std::vector<std::size_t> depth;
+    return PlanLocked(depth);
+}
+
+void
+HeOpGraph::ExecuteLocked(std::size_t max_wavefronts)
+{
+    // Fusion and depth are recomputed on every call, so a graph run one
+    // wavefront per call executes exactly the batches one full call
+    // would: running every depth-1 node lowers each remaining node's
+    // depth by exactly one, and fusion only ever looks at pending nodes.
+    std::vector<std::size_t> depth;
+    const std::size_t max_depth =
+        std::min(PlanLocked(depth), max_wavefronts);
 
     // Within a wavefront, all nodes of one kind run as a single batched
     // kernel call — this is where independent ciphertext ops overlap.
@@ -451,11 +472,11 @@ HeOpGraph::ExecuteLocked()
 }
 
 Status
-HeOpGraph::ExecuteStatus()
+HeOpGraph::ExecuteStatus(std::size_t max_wavefronts)
 {
     MutexLock lock(mutex_);
     try {
-        ExecuteLocked();
+        ExecuteLocked(max_wavefronts);
     } catch (...) {
         return CurrentExceptionToStatus().WithFrame(
             "HeOpGraph::ExecuteStatus");

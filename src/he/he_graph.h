@@ -30,6 +30,8 @@
 
 #include <cstddef>
 #include <deque>
+#include <limits>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -197,14 +199,38 @@ class HeOpGraph
      */
     void Execute() HENTT_EXCLUDES(mutex_);
 
+    /** ExecuteStatus()'s default wavefront limit: run everything. */
+    static constexpr std::size_t kAllWavefronts =
+        std::numeric_limits<std::size_t>::max();
+
     /**
-     * Execute() with the error report as a value: runs every pending
-     * node, then returns OK when all settled cleanly, the aggregated
-     * failure Status (every failed node, with provenance) otherwise.
-     * Configuration errors that Execute() throws are returned as a
-     * Status too — this entry point never throws library errors.
+     * Execute() with the error report as a value: runs the first
+     * @p max_wavefronts pending dependency wavefronts (all of them by
+     * default), then returns OK when every settled node settled
+     * cleanly, the aggregated failure Status (every failed node, with
+     * provenance) otherwise. Configuration errors that Execute() throws
+     * are returned as a Status too — this entry point never throws
+     * library errors.
+     *
+     * Stepping — calling with max_wavefronts = 1 until
+     * PendingWavefronts() reads 0 — runs exactly the kernel batches of
+     * one full call, in the same order, with the same auto-fusion,
+     * poisoning and batch-of-one retry, so its results are
+     * bit-identical. The serving layer steps graphs to interleave
+     * requests of different depths on one worker.
      */
-    [[nodiscard]] Status ExecuteStatus() HENTT_EXCLUDES(mutex_);
+    [[nodiscard]] Status
+    ExecuteStatus(std::size_t max_wavefronts = kAllWavefronts)
+        HENTT_EXCLUDES(mutex_);
+
+    /**
+     * Number of dependency wavefronts a full Execute() would run now
+     * (the depth of the pending DAG after auto-fusion); 0 when nothing
+     * is pending. Applies the auto-fusion rewrite the next execution
+     * would apply, which is idempotent. Each ExecuteStatus(1) lowers it
+     * by exactly one unless a configuration error is returned.
+     */
+    std::size_t PendingWavefronts() HENTT_EXCLUDES(mutex_);
 
     /** Number of nodes ever added (inputs included). */
     std::size_t size() const HENTT_EXCLUDES(mutex_)
@@ -256,8 +282,17 @@ class HeOpGraph
     /** Display name of a node kind ("Mul", "RelinModSwitch", ...). */
     static const char *KindName(Kind kind);
 
-    /** Execute() body; the public entry points wrap it in the lock. */
-    void ExecuteLocked() HENTT_REQUIRES(mutex_);
+    /** Execute() body over at most @p max_wavefronts wavefronts; the
+     *  public entry points wrap it in the lock. */
+    void ExecuteLocked(std::size_t max_wavefronts = kAllWavefronts)
+        HENTT_REQUIRES(mutex_);
+
+    /** Scheduling pass shared by execution and PendingWavefronts():
+     *  applies auto-fusion, labels each pending node with its wavefront
+     *  in @p depth (0 for settled or bypassed nodes), and returns the
+     *  deepest label. */
+    std::size_t PlanLocked(std::vector<std::size_t> &depth)
+        HENTT_REQUIRES(mutex_);
 
     CtFuture Enqueue(Kind kind, std::size_t a, std::size_t b,
                      const RelinKey *rk = nullptr)

@@ -208,8 +208,8 @@ Client::AwaitDone(u64 request_id)
         }
         // The daemon has no notification channel (polling keeps the
         // protocol stateless between frames); a short sleep bounds the
-        // busy-wait without adding meaningful latency next to the
-        // coalescer's 2 ms admission window.
+        // busy-wait. It adds up to 200 us to a request the coalescer
+        // starts at once (a blocking wait frame would remove it).
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
 }

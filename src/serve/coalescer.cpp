@@ -3,6 +3,7 @@
 #include "serve/coalescer.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -100,9 +101,8 @@ Coalescer::Submit(std::shared_ptr<Session> session,
     request.inputs = std::move(inputs);
     request.ops = std::move(ops);
     request.outputs = std::move(outputs);
-    request.arrival = std::chrono::steady_clock::now();
     u64 id = 0;
-    std::size_t queued = 0;
+    bool first = false;
     {
         MutexLock lock(mutex_);
         if (stop_ || !started_) {
@@ -113,17 +113,15 @@ Coalescer::Submit(std::shared_ptr<Session> session,
         id = next_request_id_++;
         request.id = id;
         requests_[id].owner = request.session->id;
+        first = queue_.empty();
         queue_.push_back(std::move(request));
-        queued = queue_.size();
         ++stats_.requests_submitted;
     }
-    // Wake the worker only on the transitions it acts on: the window
-    // opening (it must start the deadline timer) and the window
-    // filling (it must close early). Mid-window arrivals would only
-    // bounce it off wait_until — on a busy daemon that is two context
-    // switches per request for nothing.
-    if (queued == 1 || queued >= config_.max_batch) {
-        cv_work_.notify_all();
+    // Wake the worker only when the queue becomes non-empty: an idle
+    // worker is waiting for exactly that, and a busy one re-checks the
+    // queue between wavefronts anyway.
+    if (first) {
+        cv_work_.notify_one();
     }
     return id;
 }
@@ -216,50 +214,64 @@ Coalescer::StatsSnapshot() const
 void
 Coalescer::WorkerLoop()
 {
+    // Admitted, unfinished batches in admission order. Worker-owned:
+    // no other thread touches them, so they need no lock.
+    std::vector<Batch> batches;
+    std::vector<Request> arrivals;
     for (;;) {
-        std::vector<Request> batch;
         {
             MutexLock lock(mutex_);
-            while (!stop_ && queue_.empty()) {
+            while (!stop_ && queue_.empty() && batches.empty()) {
                 cv_work_.wait(mutex_);
             }
             if (stop_) {
                 break;
             }
-            // Admission window: hold the batch open for more arrivals
-            // until the oldest request's deadline. At max_batch = 1
-            // the first request already fills it, so it never opens.
-            const auto deadline = queue_.front().arrival + kAdmissionWindow;
-            while (!stop_ && queue_.size() < config_.max_batch &&
-                   std::chrono::steady_clock::now() < deadline) {
-                cv_work_.wait_until(mutex_, deadline);
-            }
-            if (stop_) {
-                break;
-            }
-            const std::size_t take =
-                std::min(queue_.size(), config_.max_batch);
-            batch.reserve(take);
-            for (std::size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            ++stats_.batches_executed;
-            if (batch.size() > 1) {
-                stats_.coalesced_requests += batch.size();
-            }
-            stats_.max_batch_observed = std::max<u64>(
-                stats_.max_batch_observed, batch.size());
+            arrivals.assign(std::make_move_iterator(queue_.begin()),
+                            std::make_move_iterator(queue_.end()));
+            queue_.clear();
         }
-        // Kernels run with no serve lock held (lock-order contract).
-        std::vector<std::pair<u64, PollResult>> results =
-            ExecuteBatch(batch);
+        if (!arrivals.empty()) {
+            const std::size_t created = Admit(batches, arrivals);
+            arrivals.clear();
+            MutexLock lock(mutex_);
+            stats_.batches_executed += created;
+        }
+        // Fewest pending wavefronts first; min_element returns the
+        // first minimum, so ties go to the earliest-admitted batch.
+        const auto next = std::min_element(
+            batches.begin(), batches.end(),
+            [](const Batch &a, const Batch &b) {
+                return a.pending < b.pending;
+            });
+        if (next->pending > 0) {
+            // One wavefront, holding the graph's mutex and no serve
+            // lock (lock-order contract). Per-node failures are
+            // contained by the graph (poisoning); a configuration
+            // error makes no progress, so the batch goes straight to
+            // collection, which reports it per request through TryGet.
+            next->started = true;
+            (void)next->graph->ExecuteStatus(1);
+            const std::size_t left = next->graph->PendingWavefronts();
+            next->pending = left < next->pending ? left : 0;
+            if (next->pending > 0) {
+                continue;
+            }
+        }
+        std::vector<std::pair<u64, PollResult>> results = Collect(*next);
+        const std::size_t size = next->requests.size();
+        batches.erase(next);
         {
             MutexLock lock(mutex_);
+            if (size > 1) {
+                stats_.coalesced_requests += size;
+            }
+            stats_.max_batch_observed =
+                std::max<u64>(stats_.max_batch_observed, size);
             for (std::pair<u64, PollResult> &entry : results) {
                 auto it = requests_.find(entry.first);
                 if (it == requests_.end()) {
-                    continue;  // dropped while executing: discard
+                    continue;  // dropped while admitted: discard
                 }
                 if (entry.second.status.ok()) {
                     ++stats_.requests_completed;
@@ -271,144 +283,167 @@ Coalescer::WorkerLoop()
         }
         cv_done_.notify_all();
     }
-    // Drain on stop: everything still queued settles as kUnavailable
-    // so pollers (and the e2e suite) never hang on a dead daemon.
+    // Drain on stop: everything still queued or admitted settles as
+    // kUnavailable so pollers (and the e2e suite) never hang on a dead
+    // daemon. Like a drop, it counts as neither completed nor failed.
     {
         MutexLock lock(mutex_);
-        while (!queue_.empty()) {
-            PollResult &result = requests_[queue_.front().id].result;
-            queue_.pop_front();
-            result.done = true;
-            result.status = Status(ErrorCode::kUnavailable,
-                                   "daemon stopped before the request "
-                                   "executed")
-                                .WithFrame("Coalescer::WorkerLoop");
+        const auto settle = [this](const Request &request) {
+            auto it = requests_.find(request.id);
+            if (it == requests_.end()) {
+                return;  // its session dropped it
+            }
+            it->second.result.done = true;
+            it->second.result.status =
+                Status(ErrorCode::kUnavailable,
+                       "daemon stopped before the request executed")
+                    .WithFrame("Coalescer::WorkerLoop");
+        };
+        for (const Request &request : queue_) {
+            settle(request);
+        }
+        queue_.clear();
+        for (const Batch &batch : batches) {
+            for (const Request &request : batch.requests) {
+                settle(request);
+            }
         }
     }
     cv_done_.notify_all();
 }
 
+std::size_t
+Coalescer::Admit(std::vector<Batch> &batches,
+                 std::vector<Request> &arrivals)
+{
+    // Requests over the same parameters share one graph (their
+    // ciphertexts are mutually compatible); distinct parameter sets
+    // get their own batches.
+    std::size_t created = 0;
+    for (Request &request : arrivals) {
+        const std::shared_ptr<const he::HeEngineState> &state =
+            request.session->ctx->engine_state();
+        auto batch = std::find_if(
+            batches.begin(), batches.end(), [&](const Batch &open) {
+                return !open.started && open.state == state.get() &&
+                       open.requests.size() < config_.max_batch;
+            });
+        if (batch == batches.end()) {
+            // The evaluation context borrows the worker arena; building
+            // it is two shared_ptr copies, not a table build.
+            Batch fresh;
+            fresh.state = state.get();
+            fresh.scheme = std::make_unique<he::BgvScheme>(
+                std::make_shared<const he::HeContext>(state, arena_));
+            fresh.graph = std::make_unique<he::HeOpGraph>(*fresh.scheme);
+            batches.push_back(std::move(fresh));
+            batch = std::prev(batches.end());
+            ++created;
+        }
+        he::HeOpGraph &graph = *batch->graph;
+
+        // Enqueue the request's program; slot k maps to slots[k]. Ops
+        // carry their session's key per node, so keyless stages batch
+        // across every client in the graph.
+        std::vector<he::CtFuture> slots;
+        slots.reserve(request.inputs.size() + request.ops.size());
+        Status build_error;
+        try {
+            for (he::Ciphertext &ct : request.inputs) {
+                slots.push_back(graph.Input(std::move(ct)));
+            }
+            // The key version pinned at submit time — immune to a
+            // concurrent LoadKeys swap on the session.
+            const he::RelinKey *rk = request.rk.get();
+            for (const WireProgram::Op &op : request.ops) {
+                // Decode already validated slot references, but Submit
+                // is also a direct (in-process) entry point — re-check
+                // before indexing.
+                const bool two_operand = op.op == WireOp::kAdd ||
+                                         op.op == WireOp::kSub ||
+                                         op.op == WireOp::kMul;
+                if (op.a >= slots.size() ||
+                    (two_operand && op.b >= slots.size())) {
+                    ThrowStatus(Status(ErrorCode::kInvalidArgument,
+                                       "program op references slot out "
+                                       "of range"));
+                }
+                switch (op.op) {
+                  case WireOp::kAdd:
+                    slots.push_back(graph.Add(slots[op.a], slots[op.b]));
+                    break;
+                  case WireOp::kSub:
+                    slots.push_back(graph.Sub(slots[op.a], slots[op.b]));
+                    break;
+                  case WireOp::kMul:
+                    slots.push_back(graph.Mul(slots[op.a], slots[op.b]));
+                    break;
+                  case WireOp::kRelin:
+                    slots.push_back(graph.Relinearize(slots[op.a], rk));
+                    break;
+                  case WireOp::kModSwitch:
+                    slots.push_back(graph.ModSwitch(slots[op.a]));
+                    break;
+                  case WireOp::kRelinModSwitch:
+                    slots.push_back(graph.RelinModSwitch(slots[op.a], rk));
+                    break;
+                }
+            }
+        } catch (...) {
+            build_error = CurrentExceptionToStatus().WithFrame(
+                "Coalescer::Admit");
+        }
+        batch->requests.push_back(std::move(request));
+        batch->slots.push_back(std::move(slots));
+        batch->build_errors.push_back(std::move(build_error));
+    }
+    // Only open batches gained nodes.
+    for (Batch &batch : batches) {
+        if (!batch.started) {
+            batch.pending = batch.graph->PendingWavefronts();
+        }
+    }
+    return created;
+}
+
 std::vector<std::pair<u64, PollResult>>
-Coalescer::ExecuteBatch(std::vector<Request> &batch)
+Coalescer::Collect(const Batch &batch)
 {
     std::vector<std::pair<u64, PollResult>> results;
-    results.reserve(batch.size());
-
-    // Group by engine state: requests over the same parameters share
-    // one graph (their ciphertexts are mutually compatible); distinct
-    // parameter sets get their own graph within the admitted batch.
-    std::map<const he::HeEngineState *, std::vector<Request *>> groups;
-    for (Request &request : batch) {
-        groups[request.session->ctx->engine_state().get()].push_back(
-            &request);
-    }
-    for (auto &[state, requests] : groups) {
-        // The evaluation context borrows the worker arena; building it
-        // is two shared_ptr copies, not a table build.
-        auto ctx = std::make_shared<const he::HeContext>(
-            requests.front()->session->ctx->engine_state(), arena_);
-        he::BgvScheme scheme(ctx);
-        he::HeOpGraph graph(scheme);
-
-        // Enqueue every request's program; slot k of request r maps to
-        // futures[r][k]. Ops carry their session's key per node, so
-        // keyless stages batch across every client in the group.
-        std::vector<std::vector<he::CtFuture>> futures(requests.size());
-        std::vector<Status> build_errors(requests.size());
-        for (std::size_t r = 0; r < requests.size(); ++r) {
-            Request &request = *requests[r];
-            std::vector<he::CtFuture> &slots = futures[r];
-            slots.reserve(request.inputs.size() + request.ops.size());
-            try {
-                for (he::Ciphertext &ct : request.inputs) {
-                    slots.push_back(graph.Input(std::move(ct)));
-                }
-                // The key version pinned at submit time — immune to a
-                // concurrent LoadKeys swap on the session.
-                const he::RelinKey *rk = request.rk.get();
-                for (const WireProgram::Op &op : request.ops) {
-                    // Decode already validated slot references, but
-                    // Submit is also a direct (in-process) entry
-                    // point — re-check before indexing.
-                    const bool two_operand = op.op == WireOp::kAdd ||
-                                             op.op == WireOp::kSub ||
-                                             op.op == WireOp::kMul;
-                    if (op.a >= slots.size() ||
-                        (two_operand && op.b >= slots.size())) {
-                        ThrowStatus(
-                            Status(ErrorCode::kInvalidArgument,
-                                   "program op references slot out "
-                                   "of range"));
-                    }
-                    switch (op.op) {
-                      case WireOp::kAdd:
-                        slots.push_back(
-                            graph.Add(slots[op.a], slots[op.b]));
-                        break;
-                      case WireOp::kSub:
-                        slots.push_back(
-                            graph.Sub(slots[op.a], slots[op.b]));
-                        break;
-                      case WireOp::kMul:
-                        slots.push_back(
-                            graph.Mul(slots[op.a], slots[op.b]));
-                        break;
-                      case WireOp::kRelin:
-                        slots.push_back(
-                            graph.Relinearize(slots[op.a], rk));
-                        break;
-                      case WireOp::kModSwitch:
-                        slots.push_back(graph.ModSwitch(slots[op.a]));
-                        break;
-                      case WireOp::kRelinModSwitch:
-                        slots.push_back(
-                            graph.RelinModSwitch(slots[op.a], rk));
-                        break;
-                    }
-                }
-            } catch (...) {
-                build_errors[r] = CurrentExceptionToStatus().WithFrame(
-                    "Coalescer::ExecuteBatch(build)");
-            }
-        }
-
-        // One execution for the whole group: same-kind nodes across
-        // all requests share wavefront batches. Per-node failures are
-        // contained by the graph (poisoning); a thrown configuration
-        // error surfaces per request below through TryGet.
-        (void)graph.ExecuteStatus();
-
-        for (std::size_t r = 0; r < requests.size(); ++r) {
-            Request &request = *requests[r];
-            PollResult result;
-            result.done = true;
-            if (!build_errors[r].ok()) {
-                result.status = build_errors[r];
-                results.emplace_back(request.id, std::move(result));
-                continue;
-            }
-            for (const u32 slot : request.outputs) {
-                if (slot >= futures[r].size()) {
-                    result.status =
-                        Status(ErrorCode::kInvalidArgument,
-                               "output slot " + std::to_string(slot) +
-                                   " out of range")
-                            .WithFrame("Coalescer::ExecuteBatch");
-                    result.outputs.clear();
-                    break;
-                }
-                Result<const he::Ciphertext *> output =
-                    futures[r][slot].TryGet();
-                if (!output.ok()) {
-                    result.status = output.status().WithFrame(
-                        "serve request " + std::to_string(request.id));
-                    result.outputs.clear();
-                    break;
-                }
-                result.outputs.push_back(**output);
-            }
+    results.reserve(batch.requests.size());
+    for (std::size_t r = 0; r < batch.requests.size(); ++r) {
+        const Request &request = batch.requests[r];
+        PollResult result;
+        result.done = true;
+        if (!batch.build_errors[r].ok()) {
+            result.status = batch.build_errors[r];
             results.emplace_back(request.id, std::move(result));
+            continue;
         }
+        for (const u32 slot : request.outputs) {
+            if (slot >= batch.slots[r].size()) {
+                result.status =
+                    Status(ErrorCode::kInvalidArgument,
+                           "output slot " + std::to_string(slot) +
+                               " out of range")
+                        .WithFrame("Coalescer::Collect");
+                result.outputs.clear();
+                break;
+            }
+            // Every scheduled node is settled; TryGet only computes a
+            // Relinearize the auto-fusion bypassed that the request
+            // also returns.
+            Result<const he::Ciphertext *> output =
+                batch.slots[r][slot].TryGet();
+            if (!output.ok()) {
+                result.status = output.status().WithFrame(
+                    "serve request " + std::to_string(request.id));
+                result.outputs.clear();
+                break;
+            }
+            result.outputs.push_back(**output);
+        }
+        results.emplace_back(request.id, std::move(result));
     }
     return results;
 }

@@ -1,20 +1,27 @@
 /**
  * @file
  * Coalescer — the admission-control queue that turns many clients'
- * independent requests into single HeOpGraph wavefronts.
+ * independent requests into shared HeOpGraph wavefronts.
  *
  * This is the serving layer's scale play, the paper's batching argument
  * lifted one more level: limb-batching amortised dispatch overhead
  * across a polynomial's rows, ciphertext-batching across one caller's
  * ops, and the coalescer amortises it across *clients*. Requests from
- * any number of sessions land in one queue; a worker admits up to
- * max_batch of them into a single graph, so every pool dispatch of
- * every wavefront stage spans all in-flight traffic. A fixed admission
- * window (kAdmissionWindow, 2 ms past the oldest queued arrival) bounds
- * how long a batch stays open — a lone client pays at most the window
- * of added latency, never an unbounded starve. max_batch = 1 is the
- * unbatched ablation: the window never opens and every request runs as
- * its own batch.
+ * any number of sessions land in one queue. The worker is
+ * work-conserving and schedules one wavefront at a time: between any
+ * two wavefronts it admits everything queued, then runs one wavefront
+ * of the admitted batch with the fewest pending wavefronts (ties go to
+ * the earliest admitted). There is no admission timer:
+ *
+ *   - a lone request starts as soon as the worker is free;
+ *   - a batch stays open to later arrivals over its engine state (up
+ *     to max_batch requests) until its first wavefront runs, so under
+ *     load the requests queued behind a running batch share one graph;
+ *   - a small request arriving mid-graph waits for at most the one
+ *     wavefront in progress, not the whole graph.
+ *
+ * max_batch = 1 is the unbatched ablation: every request runs as its
+ * own batch of one.
  *
  * Key handling: the batch graph carries per-node relinearization keys
  * (each request's ops point at the key version its session had loaded
@@ -25,15 +32,15 @@
  * client key (see HeOpGraph).
  *
  * Locking: the queue/result mutex is a leaf lock released before any
- * kernel executes — batch execution holds NO serve lock, so the
- * documented HeOpGraph → ScratchArena → ThreadPool order is untouched
- * (ARCHITECTURE.md lock-ordering table).
+ * kernel executes — the worker holds one graph's mutex for one
+ * wavefront and NO serve lock, so the documented HeOpGraph →
+ * ScratchArena → ThreadPool order is untouched (ARCHITECTURE.md
+ * lock-ordering table).
  */
 
 #ifndef HENTT_SERVE_COALESCER_H
 #define HENTT_SERVE_COALESCER_H
 
-#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -41,6 +48,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "he/he_graph.h"
 #include "serve/session.h"
 #include "serve/wire.h"
 
@@ -48,8 +56,8 @@ namespace hentt::serve {
 
 /** Admission control: the one knob. */
 struct BatchConfig {
-    /** Most requests admitted into one wavefront batch; 1 is the
-     *  unbatched ablation (bench_serve's comparison baseline). */
+    /** Most requests admitted into one batch; 1 is the unbatched
+     *  ablation (bench_serve's comparison baseline). */
     std::size_t max_batch = 64;
 };
 
@@ -77,8 +85,10 @@ class Coalescer
     /** Launch the worker thread. */
     void Start();
 
-    /** Stop the worker; every still-queued request settles with
-     *  kUnavailable (pollers wake). Idempotent. */
+    /** Stop the worker once the wavefront in progress (if any)
+     *  finishes; every queued request and every request of an admitted
+     *  but unfinished batch settles with kUnavailable (pollers wake).
+     *  Idempotent. */
     void Stop();
 
     /**
@@ -111,7 +121,7 @@ class Coalescer
         HENTT_EXCLUDES(mutex_);
 
     /** Abandon every request @p session_id owns — queued ones are
-     *  dropped, executing ones complete and are discarded, undelivered
+     *  dropped, admitted ones complete and are discarded, undelivered
      *  results are freed. Connection-teardown hook (no orphans). */
     void DropSessionRequests(u64 session_id) HENTT_EXCLUDES(mutex_);
 
@@ -126,13 +136,6 @@ class Coalescer
     }
 
   private:
-    /** How long a batch stays open for more arrivals past the oldest
-     *  queued request's arrival. Fixed: dropping it without also
-     *  ending head-of-line blocking behind heavy graphs regresses the
-     *  small requests of mixed traffic (ROADMAP items 1 and 2), and no
-     *  deployment runs another value. */
-    static constexpr std::chrono::microseconds kAdmissionWindow{2000};
-
     struct Request {
         u64 id = 0;
         std::shared_ptr<Session> session;
@@ -143,7 +146,22 @@ class Coalescer
         std::vector<he::Ciphertext> inputs;
         std::vector<WireProgram::Op> ops;
         std::vector<u32> outputs;
-        std::chrono::steady_clock::time_point arrival;
+    };
+
+    /** One admitted batch: a graph over the requests of one engine
+     *  state, stepped one wavefront at a time. Worker-owned. */
+    struct Batch {
+        const he::HeEngineState *state = nullptr;
+        std::unique_ptr<he::BgvScheme> scheme;  ///< graph refers to it
+        std::unique_ptr<he::HeOpGraph> graph;
+        std::vector<Request> requests;
+        /** slots[r][k]: the future of slot k of requests[r]. */
+        std::vector<std::vector<he::CtFuture>> slots;
+        std::vector<Status> build_errors;  ///< per request
+        std::size_t pending = 0;           ///< wavefronts left
+        /** Whether a wavefront has run; a started batch admits no
+         *  more requests. */
+        bool started = false;
     };
 
     /** One request id's entry in requests_: queued or executing while
@@ -161,16 +179,22 @@ class Coalescer
     PollResult TakeLocked(u64 request_id, u64 session_id,
                           const char *frame) HENTT_REQUIRES(mutex_);
 
-    /** Run one admitted batch through a shared HeOpGraph per engine
-     *  state. Called with no serve lock held. */
-    std::vector<std::pair<u64, PollResult>>
-    ExecuteBatch(std::vector<Request> &batch);
+    /** Add @p arrivals to @p batches: each joins the open batch over
+     *  its engine state, or starts a new one. Builds graph nodes, so it
+     *  runs with no serve lock held. Returns the batches created. */
+    std::size_t Admit(std::vector<Batch> &batches,
+                      std::vector<Request> &arrivals);
+
+    /** The outputs of every request of a batch with no pending
+     *  wavefront. Runs with no serve lock held. */
+    static std::vector<std::pair<u64, PollResult>>
+    Collect(const Batch &batch);
 
     BatchConfig config_;
     std::shared_ptr<he::ScratchArena> arena_;
 
     mutable Mutex mutex_;
-    CondVar cv_work_;  ///< signalled on submit and stop
+    CondVar cv_work_;  ///< signalled on first queued submit and stop
     CondVar cv_done_;  ///< signalled when results land
     bool stop_ HENTT_GUARDED_BY(mutex_) = false;
     bool started_ HENTT_GUARDED_BY(mutex_) = false;

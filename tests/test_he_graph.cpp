@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/modarith.h"
 #include "common/status.h"
@@ -28,6 +30,46 @@ ChainParams()
     params.prime_bits = 50;
     params.plain_modulus = 257;
     return params;
+}
+
+/** Whether two ciphertexts hold the same residues, word for word. */
+bool
+SameBits(const Ciphertext &a, const Ciphertext &b)
+{
+    if (a.parts.size() != b.parts.size()) {
+        return false;
+    }
+    for (std::size_t j = 0; j < a.parts.size(); ++j) {
+        if (a.parts[j].prime_count() != b.parts[j].prime_count()) {
+            return false;
+        }
+        for (std::size_t l = 0; l < a.parts[j].prime_count(); ++l) {
+            if (!std::ranges::equal(a.parts[j].row(l), b.parts[j].row(l))) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/** Step @p graph one wavefront per call until nothing is pending,
+ *  expecting PendingWavefronts() to drop by exactly one per call;
+ *  returns each call's Status. */
+std::vector<Status>
+StepToCompletion(HeOpGraph &graph)
+{
+    std::vector<Status> steps;
+    std::size_t left = graph.PendingWavefronts();
+    while (left > 0) {
+        steps.push_back(graph.ExecuteStatus(1));
+        const std::size_t now = graph.PendingWavefronts();
+        EXPECT_EQ(now, left - 1) << "after step " << steps.size();
+        if (now != left - 1) {
+            break;
+        }
+        left = now;
+    }
+    return steps;
 }
 
 class HeGraphTest : public ::testing::Test
@@ -565,6 +607,79 @@ TEST_F(HeGraphTest, BypassedRelinMaterialisesOnDemand)
 }
 
 // ---------------------------------------------------------------------
+// Stepped execution: one wavefront per call, bit-identical to Execute()
+// ---------------------------------------------------------------------
+
+TEST_F(HeGraphTest, SteppedExecutionIsBitIdentical)
+{
+    const Ciphertext a = scheme_->Encrypt(*sk_, RandomPlain(90));
+    const Ciphertext b = scheme_->Encrypt(*sk_, RandomPlain(91));
+    const Ciphertext c = scheme_->Encrypt(*sk_, RandomPlain(92));
+
+    // The graphs of the whole-graph tests above, each with its
+    // wavefront count after auto-fusion and the futures to compare
+    // (never a bypassed node: get() would materialise it).
+    struct Case {
+        const char *name;
+        std::size_t wavefronts;
+        std::function<std::vector<CtFuture>(HeOpGraph &)> build;
+    };
+    const std::vector<Case> cases = {
+        {"GraphMatchesScalarPipeline", 3,
+         [&](HeOpGraph &g) {
+             const CtFuture xy = g.MulRelin(g.Input(a), g.Input(b));
+             const CtFuture zz = g.MulRelin(g.Input(c), g.Input(c));
+             return std::vector<CtFuture>{xy, zz, g.Add(xy, zz)};
+         }},
+        {"DiamondGraphWithModSwitch", 3,
+         [&](HeOpGraph &g) {
+             const CtFuture x = g.Input(a);
+             const CtFuture y = g.Input(b);
+             const CtFuture s = g.Add(x, y);
+             const CtFuture d = g.Sub(x, y);
+             return std::vector<CtFuture>{
+                 s, d, g.ModSwitch(g.MulRelin(s, d))};
+         }},
+        {"AutoFusesRelinIntoModSwitch", 2,
+         [&](HeOpGraph &g) {
+             return std::vector<CtFuture>{g.ModSwitch(
+                 g.Relinearize(g.Mul(g.Input(a), g.Input(b))))};
+         }},
+    };
+    for (const Case &test : cases) {
+        SCOPED_TRACE(test.name);
+        HeOpGraph whole(*scheme_, &*rk_);
+        const std::vector<CtFuture> want = test.build(whole);
+        ResetNttOpCounts();
+        whole.Execute();
+        const NttOpCounts whole_counts = GetNttOpCounts();
+
+        HeOpGraph stepped(*scheme_, &*rk_);
+        const std::vector<CtFuture> got = test.build(stepped);
+        EXPECT_EQ(stepped.PendingWavefronts(), test.wavefronts);
+        ResetNttOpCounts();
+        const std::vector<Status> steps = StepToCompletion(stepped);
+        const NttOpCounts stepped_counts = GetNttOpCounts();
+        EXPECT_EQ(steps.size(), test.wavefronts);
+        for (const Status &step : steps) {
+            EXPECT_TRUE(step.ok()) << step.ToString();
+        }
+
+        EXPECT_EQ(stepped_counts.forward, whole_counts.forward);
+        EXPECT_EQ(stepped_counts.inverse, whole_counts.inverse);
+        EXPECT_EQ(stepped_counts.elementwise, whole_counts.elementwise);
+        EXPECT_EQ(stepped.pending(), 0u);
+        EXPECT_EQ(whole.pending(), 0u);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(got[i].ready()) << "future " << i;
+            EXPECT_TRUE(SameBits(got[i].get(), want[i].get()))
+                << "future " << i;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Failure containment: a failed node poisons exactly its dependents
 // ---------------------------------------------------------------------
 
@@ -643,6 +758,58 @@ TEST_F(HeGraphTest, FailedNodePoisonsOnlyItsDependents)
     EXPECT_EQ(aggregate.code(), ErrorCode::kInvalidArgument);
     EXPECT_NE(aggregate.message().find("2 tasks failed"),
               std::string::npos);
+}
+
+TEST_F(HeGraphTest, PoisonCrossesStepBoundaries)
+{
+    // FailedNodePoisonsOnlyItsDependents, stepped: the failure settles
+    // in one call and its dependent is poisoned by the next, with the
+    // same Status a whole-graph Execute() gives it.
+    const Ciphertext ca = scheme_->Encrypt(*sk_, RandomPlain(80));
+    const Ciphertext cb = scheme_->Encrypt(*sk_, RandomPlain(81));
+    struct Futures {
+        CtFuture bad, poisoned, good;
+    };
+    const auto build = [&](HeOpGraph &g) {
+        const CtFuture x = g.Input(ca);
+        const CtFuture m = g.Mul(x, g.Input(cb));
+        const CtFuture bad = g.Add(m, x);  // degree 2 + degree 1
+        return Futures{bad, g.ModSwitch(bad), g.Relinearize(m)};
+    };
+    HeOpGraph whole(*scheme_, &*rk_);
+    const Futures want = build(whole);
+    whole.Execute();
+
+    HeOpGraph stepped(*scheme_, &*rk_);
+    const Futures got = build(stepped);
+    ASSERT_EQ(stepped.PendingWavefronts(), 3u);
+    EXPECT_TRUE(stepped.ExecuteStatus(1).ok());  // Mul
+
+    // Add fails, Relinearize completes; the poison waits for the next
+    // wavefront.
+    const Status second = stepped.ExecuteStatus(1);
+    EXPECT_EQ(second.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(got.bad.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_TRUE(got.good.ready());
+    EXPECT_EQ(got.poisoned.status().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(stepped.PendingWavefronts(), 1u);
+
+    const Status third = stepped.ExecuteStatus(1);
+    EXPECT_NE(third.message().find("2 tasks failed"), std::string::npos)
+        << third.ToString();
+    EXPECT_EQ(stepped.PendingWavefronts(), 0u);
+    EXPECT_EQ(stepped.pending(), 0u);
+    EXPECT_EQ(got.poisoned.status().code(), ErrorCode::kPoisoned);
+    EXPECT_NE(got.poisoned.status().message().find("(Add)"),
+              std::string::npos);
+
+    // Same provenance and same healthy bits as the whole-graph run.
+    EXPECT_EQ(got.bad.status().ToString(), want.bad.status().ToString());
+    EXPECT_EQ(got.poisoned.status().ToString(),
+              want.poisoned.status().ToString());
+    EXPECT_TRUE(SameBits(got.good.get(), want.good.get()));
+    EXPECT_EQ(stepped.ExecuteStatus().ToString(),
+              whole.ExecuteStatus().ToString());
 }
 
 TEST_F(HeGraphTest, BatchOfOneRetryIsolatesTheFailingMember)

@@ -8,6 +8,9 @@
  *     poll → decrypt) produces the same plaintext as local evaluation;
  *   - concurrent clients coalesce: the daemon's stats prove requests
  *     shared a wavefront batch;
+ *   - the worker schedules one wavefront at a time: a one-op request
+ *     overtakes a deep graph already running, and Stop mid-graph
+ *     settles the graph's requests instead of hanging them;
  *   - every failure — protocol misuse, malformed bytes, missing keys,
  *     injected faults — reaches the client as a Status with the
  *     daemon's provenance, and the daemon keeps serving afterwards;
@@ -61,6 +64,21 @@ TestSocketPath(const char *tag)
 {
     return "/tmp/hentt-serve-test-" + std::string(tag) + "-" +
            std::to_string(::getpid()) + ".sock";
+}
+
+/** A keyless ten-deep chain over inputs {x, x}: slot 2 = x + x, then
+ *  slot k + 1 = slot k + x, ending in slot kChainOutput = 11x. Each Add
+ *  depends on the last, so the graph is ten wavefronts deep. */
+constexpr u32 kChainOutput = 11;
+
+std::vector<WireProgram::Op>
+AddChain()
+{
+    std::vector<WireProgram::Op> ops = {{WireOp::kAdd, 0, 1}};
+    for (u32 slot = 2; slot < kChainOutput; ++slot) {
+        ops.push_back({WireOp::kAdd, slot, 0});
+    }
+    return ops;
 }
 
 /** Poll daemon stats until @p pred holds or ~2s elapse. */
@@ -446,6 +464,115 @@ TEST_F(ServeE2E, ClientDyingMidRequestDropsItsWork)
     EXPECT_EQ(stats.batches_executed, 1u);
     EXPECT_EQ(stats.requests_completed, 0u);
     EXPECT_EQ(stats.requests_failed, 0u);
+}
+
+TEST_F(ServeE2E, SmallRequestOvertakesDeepGraph)
+{
+    // The worker runs one wavefront at a time and between wavefronts
+    // admits what is queued, then runs the batch with the fewest
+    // pending wavefronts. A one-Add request admitted while a ten-deep
+    // chain runs has 1 pending against the chain's 9, so it completes
+    // before the chain does instead of queueing behind the whole graph.
+    StartDaemon("overtake");
+    std::unique_ptr<Client> deep = NewClient();
+    std::unique_ptr<Client> small = NewClient();
+    ASSERT_NE(deep, nullptr);
+    ASSERT_NE(small, nullptr);
+    Result<u64> deep_session = deep->CreateSession(SmallParams());
+    Result<u64> small_session = small->CreateSession(SmallParams());
+    ASSERT_TRUE(deep_session.ok()) << deep_session.status().ToString();
+    ASSERT_TRUE(small_session.ok()) << small_session.status().ToString();
+    he::BgvScheme scheme(deep->context(), /*seed=*/14);
+    he::SecretKey sk = scheme.KeyGen();
+    he::Ciphertext ct =
+        scheme.Encrypt(sk, he::Plaintext(SmallParams().degree, 3));
+
+    u64 chain = 0;
+    u64 single = 0;
+    {
+        // Park the worker inside the chain's first wavefront.
+        MutexLock hold(daemon_->coalescer().arena()->mutex());
+        Result<u64> submitted =
+            deep->SubmitGraph({ct, ct}, AddChain(), {kChainOutput});
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        chain = *submitted;
+        ASSERT_TRUE(EventuallyTrue([this] {
+            return daemon_->Stats().batches_executed == 1;
+        }));
+        submitted =
+            small->SubmitGraph({ct, ct}, {{WireOp::kAdd, 0, 1}}, {2});
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        single = *submitted;
+        ASSERT_TRUE(EventuallyTrue([this] {
+            return daemon_->Stats().requests_submitted == 2;
+        }));
+    }
+    const PollResult chain_result =
+        daemon_->coalescer().Wait(chain, *deep_session);
+    const PollResult single_result =
+        daemon_->coalescer().Poll(single, *small_session);
+    ASSERT_TRUE(chain_result.status.ok()) << chain_result.status.ToString();
+    EXPECT_TRUE(single_result.done)
+        << "the one-Add request waited for the whole chain";
+    EXPECT_EQ(daemon_->Stats().batches_executed, 2u);
+    ASSERT_EQ(chain_result.outputs.size(), 1u);
+    EXPECT_EQ(scheme.Decrypt(sk, chain_result.outputs.front()),
+              he::Plaintext(SmallParams().degree, 33));
+    if (single_result.done) {
+        ASSERT_TRUE(single_result.status.ok())
+            << single_result.status.ToString();
+        ASSERT_EQ(single_result.outputs.size(), 1u);
+        EXPECT_EQ(scheme.Decrypt(sk, single_result.outputs.front()),
+                  he::Plaintext(SmallParams().degree, 6));
+    }
+}
+
+TEST_F(ServeE2E, StopMidGraphSettlesAdmittedRequests)
+{
+    // Stop lands while the worker is inside the first wavefront of an
+    // admitted ten-deep chain. It waits for that wavefront only; the
+    // chain's request then settles kUnavailable, like a still-queued
+    // one, without counting as failed, and the daemon keeps answering.
+    StartDaemon("stopmid");
+    std::unique_ptr<Client> client = NewClient();
+    ASSERT_NE(client, nullptr);
+    Result<u64> session = client->CreateSession(SmallParams());
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    he::BgvScheme scheme(client->context(), /*seed=*/15);
+    he::SecretKey sk = scheme.KeyGen();
+    he::Ciphertext ct =
+        scheme.Encrypt(sk, he::Plaintext(SmallParams().degree, 4));
+
+    u64 chain = 0;
+    std::thread stopper;
+    bool refused = false;
+    {
+        MutexLock hold(daemon_->coalescer().arena()->mutex());
+        Result<u64> submitted =
+            client->SubmitGraph({ct, ct}, AddChain(), {kChainOutput});
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        chain = *submitted;
+        ASSERT_TRUE(EventuallyTrue([this] {
+            return daemon_->Stats().batches_executed == 1;
+        }));
+        stopper = std::thread([this] { daemon_->coalescer().Stop(); });
+        // Stop is in effect once a fresh submit is refused; it then
+        // blocks on the worker, parked on the held arena.
+        refused = EventuallyTrue([&] {
+            return !client
+                        ->SubmitGraph({ct, ct}, {{WireOp::kAdd, 0, 1}},
+                                      {2})
+                        .ok();
+        });
+    }
+    stopper.join();
+    EXPECT_TRUE(refused) << "Stop never refused new work";
+    const PollResult result = daemon_->coalescer().Poll(chain, *session);
+    EXPECT_TRUE(result.done);
+    EXPECT_EQ(result.status.code(), ErrorCode::kUnavailable)
+        << result.status.ToString();
+    EXPECT_EQ(daemon_->Stats().requests_failed, 0u);
+    EXPECT_TRUE(client->Ping().ok());
 }
 
 TEST_F(ServeE2E, ShutdownOverTheWire)
