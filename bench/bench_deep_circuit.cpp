@@ -23,99 +23,28 @@
  * Usage: bench_deep_circuit [--threads T] [--reps R]
  */
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "harness.h"
 #include "common/thread_pool.h"
 #include "he/bgv.h"
 #include "he/ciphertext_batch.h"
 #include "ntt/ntt_engine.h"
 #include "simd/simd_backend.h"
 
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement so the bench can
-// prove the steady-state tower walk does not touch the heap at any
-// depth (same counter as bench_he_pipeline / bench_rns_batch).
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 namespace hentt::he {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-Elapsed_ns(Clock::time_point t0, Clock::time_point t1)
-{
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-template <typename Fn>
-double
-TimeBest_ns(int reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps + 2; ++r) {  // two warm-up reps
-        const auto t0 = Clock::now();
-        fn();
-        const auto t1 = Clock::now();
-        const double ns = Elapsed_ns(t0, t1);
-        if (r >= 2 && (best == 0.0 || ns < best)) {
-            best = ns;
-        }
-    }
-    return best;
-}
+/** Back-to-back calls per timed run of one tower stage, as in
+ *  sweep_params: interleaved with every other level, a single call
+ *  starts on operands the other arms evicted. */
+constexpr int kTowerCallsPerRun = 4;
 
 bool
 BitIdentical(const Ciphertext &x, const Ciphertext &y)
@@ -256,73 +185,70 @@ BenchMain(int argc, char **argv)
     GlobalThreadPool();  // spin up workers outside the timed region
 
     // ------------------------------------------------------------------
-    // Per-level steady-state walk: at each level, time the BatchMul
-    // tensor stage and the fused descend into preallocated outputs, and
-    // demand zero heap allocations once the arena is warm.
+    // Per-level steady state: an untimed walk down the chain builds
+    // every level's operands and checks its relinearization transform
+    // budget; then the BatchMul tensor stage and the fused descend of
+    // every level run as interleaved arms into preallocated outputs,
+    // and the whole timed region must make zero heap allocations.
     // ------------------------------------------------------------------
     bench::Section(
         "per-level steady state (BatchMul / fused RelinModSwitch)");
-    std::printf("  %-7s %12s %16s %14s %12s\n", "level", "mul_us",
-                "relin_ms_us", "relin_fwd_rows", "allocs");
 
-    // Per-level operands reconstructed from the reference walk.
+    struct Level {
+        Ciphertext acc, factor, prod, down;
+    };
+    std::vector<Level> levels(depth);
+    // Arms 2d and 2d+1: level d's tensor stage and fused descend.
+    const auto run = [&](std::size_t arm) {
+        Level &lv = levels[arm / 2];
+        if (arm % 2 == 0) {
+            const Ciphertext *mul_a[] = {&lv.acc};
+            const Ciphertext *mul_b[] = {&lv.factor};
+            Ciphertext *mul_out[] = {&lv.prod};
+            BatchMul(*ctx, mul_a, mul_b, mul_out);
+        } else {
+            const Ciphertext *relin_in[] = {&lv.prod};
+            Ciphertext *down_out[] = {&lv.down};
+            BatchRelinModSwitch(*ctx, rk, relin_in, down_out);
+        }
+    };
+
+    bool rows_ok = true;
+    std::vector<u64> fwd_rows(depth);
     Ciphertext acc = ct_a;
     Ciphertext factor = ct_b;
-    double total_mul_ns = 0.0, total_descend_ns = 0.0;
-    long long total_allocs = 0;
-    bool rows_ok = true;
-    for (std::size_t level = np; level >= 2; --level) {
-        const Ciphertext *mul_a[] = {&acc};
-        const Ciphertext *mul_b[] = {&factor};
-        Ciphertext prod;
-        Ciphertext *mul_out[] = {&prod};
-        Ciphertext down;
-        Ciphertext *down_out[] = {&down};
-
-        // Warm the arena and the output shapes at this level.
-        BatchMul(*ctx, mul_a, mul_b, mul_out);
-        const Ciphertext *relin_in[] = {&prod};
-        BatchRelinModSwitch(*ctx, rk, relin_in, down_out);
-        BatchMul(*ctx, mul_a, mul_b, mul_out);
-        BatchRelinModSwitch(*ctx, rk, relin_in, down_out);
-
-        // Transform budget: L^2 forward rows for the digit lifts.
+    for (std::size_t d = 0; d < depth; ++d) {
+        levels[d].acc = acc;
+        levels[d].factor = factor;
+        run(2 * d);
+        // Transform budget: L^2 forward rows for the digit lifts at a
+        // level with L primes.
         ResetNttOpCounts();
-        BatchRelinModSwitch(*ctx, rk, relin_in, down_out);
-        const u64 fwd_rows = GetNttOpCounts().forward;
-        if (fwd_rows != static_cast<u64>(level) * level) {
-            rows_ok = false;
-        }
-
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
-        const double mul_ns = TimeBest_ns(reps, [&] {
-            BatchMul(*ctx, mul_a, mul_b, mul_out);
-        });
-        const double descend_ns = TimeBest_ns(reps, [&] {
-            BatchRelinModSwitch(*ctx, rk, relin_in, down_out);
-        });
-        const long long allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
-
-        std::printf("  %zu->%zu %13.1f %16.1f %14llu %12lld\n", level,
-                    level - 1, mul_ns / 1e3, descend_ns / 1e3,
-                    static_cast<unsigned long long>(fwd_rows), allocs);
-        total_mul_ns += mul_ns;
-        total_descend_ns += descend_ns;
-        total_allocs += allocs;
-
-        // Descend: the fused output becomes the accumulator, and the
-        // factor follows via plain ModSwitch.
-        acc = down;
-        if (level > 2) {
-            const Ciphertext *ms_in[] = {&factor};
-            Ciphertext switched;
-            Ciphertext *ms_out[] = {&switched};
-            BatchModSwitch(*ctx, ms_in, ms_out);
-            factor = switched;
-        }
+        run(2 * d + 1);
+        fwd_rows[d] = GetNttOpCounts().forward;
+        rows_ok = rows_ok && fwd_rows[d] == (np - d) * (np - d);
+        acc = levels[d].down;
+        factor = scheme.ModSwitch(factor);
     }
+
+    std::vector<bench::ArmTime> best(2 * depth);
+    const long long before = bench::AllocCount();
+    bench::TimeArms(reps, best, run, kTowerCallsPerRun);
+    const long long total_allocs = bench::AllocCount() - before;
+
+    std::printf("  %-7s %12s %16s %14s\n", "level", "mul_us",
+                "relin_ms_us", "relin_fwd_rows");
+    double total_mul_ns = 0.0, total_descend_ns = 0.0;
+    for (std::size_t d = 0; d < depth; ++d) {
+        std::printf("  %zu->%zu %13.1f %16.1f %14llu\n", np - d,
+                    np - d - 1, best[2 * d].ns / 1e3,
+                    best[2 * d + 1].ns / 1e3,
+                    static_cast<unsigned long long>(fwd_rows[d]));
+        total_mul_ns += best[2 * d].ns;
+        total_descend_ns += best[2 * d + 1].ns;
+    }
+    std::printf("  heap allocations across the timed levels: %lld\n",
+                total_allocs);
 
     bench::Section("whole tower");
     bench::Row("sum of mul stages", total_mul_ns / 1e3, "us");

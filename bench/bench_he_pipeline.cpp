@@ -30,16 +30,14 @@
  * Usage: bench_he_pipeline [--json PATH] [--threads T] [--reps R]
  */
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "harness.h"
 #include "common/thread_pool.h"
 #include "he/bgv.h"
 #include "he/ciphertext_batch.h"
@@ -47,82 +45,8 @@
 #include "ntt/ntt_engine.h"
 #include "simd/simd_backend.h"
 
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement so the bench can
-// prove the steady-state fused stage does not touch the heap (same
-// counter as bench_rns_batch).
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 namespace hentt::he {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-Elapsed_ns(Clock::time_point t0, Clock::time_point t1)
-{
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-template <typename Fn>
-double
-TimeBest_ns(int reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps + 2; ++r) {  // two warm-up reps
-        const auto t0 = Clock::now();
-        fn();
-        const auto t1 = Clock::now();
-        const double ns = Elapsed_ns(t0, t1);
-        if (r >= 2 && (best == 0.0 || ns < best)) {
-            best = ns;
-        }
-    }
-    return best;
-}
 
 /** Copy of @p x transformed to the evaluation domain if needed. */
 RnsPoly
@@ -290,26 +214,29 @@ BenchMain(int argc, char **argv)
     GlobalThreadPool();  // spin up workers outside the timed region
 
     bench::Section("Mul + Relinearize chain");
-    const double pr1_ns = TimeBest_ns(reps, [&] {
-        (void)Pr1Relinearize(*ctx, Pr1Mul(ct_a, ct_b), key_b, key_a);
-    });
-    const double batched_ns = TimeBest_ns(reps, [&] {
-        (void)scheme.Relinearize(scheme.Mul(ct_a, ct_b), rk);
-    });
-
-    // Graph path: 4 independent Mul+Relin chains in one wavefront.
+    // Arms: the PR 1 path, the ciphertext-level kernels, and the graph
+    // path running 4 independent Mul+Relin chains in one wavefront.
     constexpr std::size_t kGraphOps = 4;
-    const double graph_ns = TimeBest_ns(reps, [&] {
-        HeOpGraph graph(scheme, &rk);
-        std::vector<CtFuture> outs;
-        for (std::size_t i = 0; i < kGraphOps; ++i) {
-            const CtFuture x = graph.Input(ct_a);
-            const CtFuture y = graph.Input(ct_b);
-            outs.push_back(graph.MulRelin(x, y));
+    bench::ArmTime chain[3];
+    bench::TimeArms(reps, chain, [&](std::size_t arm) {
+        if (arm == 0) {
+            (void)Pr1Relinearize(*ctx, Pr1Mul(ct_a, ct_b), key_b, key_a);
+        } else if (arm == 1) {
+            (void)scheme.Relinearize(scheme.Mul(ct_a, ct_b), rk);
+        } else {
+            HeOpGraph graph(scheme, &rk);
+            std::vector<CtFuture> outs;
+            for (std::size_t i = 0; i < kGraphOps; ++i) {
+                const CtFuture x = graph.Input(ct_a);
+                const CtFuture y = graph.Input(ct_b);
+                outs.push_back(graph.MulRelin(x, y));
+            }
+            graph.Execute();
         }
-        graph.Execute();
     });
-    const double graph_per_op_ns = graph_ns / kGraphOps;
+    const double pr1_ns = chain[0].ns;
+    const double batched_ns = chain[1].ns;
+    const double graph_per_op_ns = chain[2].ns / kGraphOps;
 
     bench::Row("pr1 (per-RnsPoly)", pr1_ns / 1e3, "us");
     bench::Row("batched (ct-level)", batched_ns / 1e3, "us");
@@ -321,40 +248,28 @@ BenchMain(int argc, char **argv)
     // Fused Relinearize→ModSwitch vs the unfused PR 2 chain (PR 3).
     // ------------------------------------------------------------------
     bench::Section("Relinearize -> ModSwitch (fused vs unfused)");
-    // Interleaved, steady-state measurement: both paths run through the
-    // batch kernels with reused outputs (warm arena), alternating
-    // inside one rep loop so slow container drift hits both equally;
-    // the saved passes are a percent-level effect, so triple the reps.
+    // Steady state: both paths run through the batch kernels with
+    // reused outputs (warm arena); the saved passes are a
+    // percent-level effect, so triple the reps.
     double unfused_ms_ns = 0.0, fused_ms_ns = 0.0;
     {
         Ciphertext relin_out, ms_out, fused_out;
         const Ciphertext *src[] = {&prod};
+        const Ciphertext *ms_src[] = {&relin_out};
         Ciphertext *relin_dst[] = {&relin_out};
         Ciphertext *ms_dst[] = {&ms_out};
         Ciphertext *fused_dst[] = {&fused_out};
-        const int total = reps * 3;
-        for (int r = 0; r < total + 2; ++r) {  // two warm-up reps
-            const auto t0 = Clock::now();
-            BatchRelinearize(*ctx, rk, src, relin_dst);
-            {
-                const Ciphertext *ms_src[] = {&relin_out};
+        bench::ArmTime stage[2];  // unfused, fused
+        bench::TimeArms(3 * reps, stage, [&](std::size_t arm) {
+            if (arm == 0) {
+                BatchRelinearize(*ctx, rk, src, relin_dst);
                 BatchModSwitch(*ctx, ms_src, ms_dst);
+            } else {
+                BatchRelinModSwitch(*ctx, rk, src, fused_dst);
             }
-            const auto t1 = Clock::now();
-            BatchRelinModSwitch(*ctx, rk, src, fused_dst);
-            const auto t2 = Clock::now();
-            if (r < 2) {
-                continue;
-            }
-            const double u = Elapsed_ns(t0, t1);
-            const double f = Elapsed_ns(t1, t2);
-            if (unfused_ms_ns == 0.0 || u < unfused_ms_ns) {
-                unfused_ms_ns = u;
-            }
-            if (fused_ms_ns == 0.0 || f < fused_ms_ns) {
-                fused_ms_ns = f;
-            }
-        }
+        });
+        unfused_ms_ns = stage[0].ns;
+        fused_ms_ns = stage[1].ns;
     }
     bench::Row("unfused (PR 2 chain)", unfused_ms_ns / 1e3, "us");
     bench::Row("fused (one stage)", fused_ms_ns / 1e3, "us");
@@ -386,13 +301,11 @@ BenchMain(int argc, char **argv)
         Ciphertext *ms_dst[] = {&ms_out};
         BatchRelinModSwitch(*ctx, rk, ms_src, ms_dst);
         BatchRelinModSwitch(*ctx, rk, ms_src, ms_dst);
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::AllocCount();
         for (int r = 0; r < 5; ++r) {
             BatchRelinModSwitch(*ctx, rk, ms_src, ms_dst);
         }
-        relin_ms_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+        relin_ms_allocs = bench::AllocCount() - before;
     }
     std::printf("  steady-state allocs (5 fused calls): %lld\n",
                 relin_ms_allocs);
@@ -408,36 +321,49 @@ BenchMain(int argc, char **argv)
         simd::BackendAvailable(simd::Backend::kAvx2);
     const bool avx512_available =
         simd::BackendAvailable(simd::Backend::kAvx512);
+    constexpr auto kScalarSlot =
+        static_cast<std::size_t>(simd::Backend::kScalar);
+    constexpr auto kAvx2Slot = static_cast<std::size_t>(simd::Backend::kAvx2);
+    constexpr auto kAvx512Slot =
+        static_cast<std::size_t>(simd::Backend::kAvx512);
     double fused_backend_ns[simd::kBackendCount] = {};
     {
+        std::vector<simd::Backend> available;
+        for (const auto backend : simd::kAllBackends) {
+            if (simd::BackendAvailable(backend)) {
+                available.push_back(backend);
+            }
+        }
         Ciphertext ms_out;
         const Ciphertext *ms_src[] = {&prod};
         Ciphertext *ms_dst[] = {&ms_out};
-        for (const auto backend : simd::kAllBackends) {
-            if (!simd::BackendAvailable(backend)) {
-                continue;
-            }
-            simd::ForceBackend(backend);
-            const std::size_t slot = static_cast<std::size_t>(backend);
-            fused_backend_ns[slot] = TimeBest_ns(reps, [&] {
-                BatchRelinModSwitch(*ctx, rk, ms_src, ms_dst);
-            });
-            bench::Row(std::string("fused ") +
-                           simd::BackendName(backend),
-                       fused_backend_ns[slot] / 1e3, "us");
-        }
+        std::vector<bench::ArmTime> fused(available.size());
+        bench::TimeArms(reps, fused, [&](std::size_t arm) {
+            simd::ForceBackend(available[arm]);
+            BatchRelinModSwitch(*ctx, rk, ms_src, ms_dst);
+        });
         simd::ResetBackend();
+        for (std::size_t i = 0; i < available.size(); ++i) {
+            fused_backend_ns[static_cast<std::size_t>(available[i])] =
+                fused[i].ns;
+            bench::Row(std::string("fused ") +
+                           simd::BackendName(available[i]),
+                       fused[i].ns / 1e3, "us");
+        }
     }
+    const double fused_avx2_vs_scalar =
+        avx2_available
+            ? fused_backend_ns[kScalarSlot] / fused_backend_ns[kAvx2Slot]
+            : 0.0;
+    const double fused_avx512_vs_avx2 =
+        avx512_available
+            ? fused_backend_ns[kAvx2Slot] / fused_backend_ns[kAvx512Slot]
+            : 0.0;
     if (avx2_available) {
-        bench::Ratio("fused avx2 vs scalar",
-                     fused_backend_ns[0] / fused_backend_ns[1]);
+        bench::Ratio("fused avx2 vs scalar", fused_avx2_vs_scalar);
     }
     if (avx512_available) {
-        bench::Ratio(
-            "fused avx512 vs avx2",
-            fused_backend_ns[1] /
-                fused_backend_ns[static_cast<std::size_t>(
-                    simd::Backend::kAvx512)]);
+        bench::Ratio("fused avx512 vs avx2", fused_avx512_vs_avx2);
     }
     SetGlobalThreadCount(threads);
 
@@ -447,66 +373,35 @@ BenchMain(int argc, char **argv)
     std::printf("  batched (eval-domain)     %6llu\n",
                 static_cast<unsigned long long>(batched_fwd));
 
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(
-            f,
-            "{\n"
-            "  \"bench\": \"he_pipeline\",\n"
-            "  \"n\": %zu,\n"
-            "  \"limbs\": %zu,\n"
-            "  \"lanes\": %zu,\n"
-            "  \"pr1_mul_relin_ns\": %.1f,\n"
-            "  \"batched_mul_relin_ns\": %.1f,\n"
-            "  \"graph_per_op_ns\": %.1f,\n"
-            "  \"speedup_batched_vs_pr1\": %.3f,\n"
-            "  \"speedup_graph_vs_pr1\": %.3f,\n"
-            "  \"relin_forward_ntt_rows_pr1\": %llu,\n"
-            "  \"relin_forward_ntt_rows_batched\": %llu,\n"
-            "  \"unfused_relin_ms_ns\": %.1f,\n"
-            "  \"fused_relin_ms_ns\": %.1f,\n"
-            "  \"speedup_fused_vs_unfused\": %.3f,\n"
-            "  \"relin_ms_elementwise_rows_unfused\": %llu,\n"
-            "  \"relin_ms_elementwise_rows_fused\": %llu,\n"
-            "  \"relin_ms_steady_state_allocs\": %lld,\n"
-            "  \"simd_default_backend\": \"%s\",\n"
-            "  \"avx2_available\": %s,\n"
-            "  \"avx512_available\": %s,\n"
-            "  \"fused_relin_ms_scalar_ns\": %.1f,\n"
-            "  \"fused_relin_ms_avx2_ns\": %.1f,\n"
-            "  \"fused_relin_ms_avx512_ns\": %.1f,\n"
-            "  \"speedup_fused_avx2_vs_scalar\": %.3f,\n"
-            "  \"speedup_fused_avx512_vs_avx2\": %.3f\n"
-            "}\n",
-            params.degree, np, threads, pr1_ns, batched_ns,
-            graph_per_op_ns, pr1_ns / batched_ns,
-            pr1_ns / graph_per_op_ns,
-            static_cast<unsigned long long>(pr1_fwd),
-            static_cast<unsigned long long>(batched_fwd),
-            unfused_ms_ns, fused_ms_ns, unfused_ms_ns / fused_ms_ns,
-            static_cast<unsigned long long>(unfused_counts.elementwise),
-            static_cast<unsigned long long>(fused_counts.elementwise),
-            relin_ms_allocs,
-            simd::BackendName(simd::ActiveBackend()),
-            avx2_available ? "true" : "false",
-            avx512_available ? "true" : "false", fused_backend_ns[0],
-            fused_backend_ns[1],
-            fused_backend_ns[static_cast<std::size_t>(
-                simd::Backend::kAvx512)],
-            avx2_available
-                ? fused_backend_ns[0] / fused_backend_ns[1]
-                : 0.0,
-            avx512_available
-                ? fused_backend_ns[1] /
-                      fused_backend_ns[static_cast<std::size_t>(
-                          simd::Backend::kAvx512)]
-                : 0.0);
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
+    bench::JsonObject json("he_pipeline");
+    json.Add("n", params.degree);
+    json.Add("limbs", np);
+    json.Add("lanes", threads);
+    json.Add("pr1_mul_relin_ns", pr1_ns);
+    json.Add("batched_mul_relin_ns", batched_ns);
+    json.Add("graph_per_op_ns", graph_per_op_ns);
+    json.Add("speedup_batched_vs_pr1", pr1_ns / batched_ns);
+    json.Add("speedup_graph_vs_pr1", pr1_ns / graph_per_op_ns);
+    json.Add("relin_forward_ntt_rows_pr1", pr1_fwd);
+    json.Add("relin_forward_ntt_rows_batched", batched_fwd);
+    json.Add("unfused_relin_ms_ns", unfused_ms_ns);
+    json.Add("fused_relin_ms_ns", fused_ms_ns);
+    json.Add("speedup_fused_vs_unfused", unfused_ms_ns / fused_ms_ns);
+    json.Add("relin_ms_elementwise_rows_unfused",
+             unfused_counts.elementwise);
+    json.Add("relin_ms_elementwise_rows_fused", fused_counts.elementwise);
+    json.Add("relin_ms_steady_state_allocs", relin_ms_allocs);
+    json.Add("simd_default_backend",
+             simd::BackendName(simd::ActiveBackend()));
+    json.Add("avx2_available", avx2_available);
+    json.Add("avx512_available", avx512_available);
+    json.Add("fused_relin_ms_scalar_ns", fused_backend_ns[kScalarSlot]);
+    json.Add("fused_relin_ms_avx2_ns", fused_backend_ns[kAvx2Slot]);
+    json.Add("fused_relin_ms_avx512_ns", fused_backend_ns[kAvx512Slot]);
+    json.Add("speedup_fused_avx2_vs_scalar", fused_avx2_vs_scalar);
+    json.Add("speedup_fused_avx512_vs_avx2", fused_avx512_vs_avx2);
+    if (!json.Write(json_path)) {
+        return 1;
     }
 
     if (batched_fwd >= pr1_fwd) {

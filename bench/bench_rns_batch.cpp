@@ -23,16 +23,15 @@
  */
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "harness.h"
 #include "common/modarith.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -40,64 +39,15 @@
 #include "poly/rns_poly.h"
 #include "simd/simd_backend.h"
 
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement so the bench can
-// prove the steady-state loop does not touch the heap.
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 namespace hentt {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-Elapsed_ns(Clock::time_point t0, Clock::time_point t1)
-{
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
+/** Kernel calls per timed run of a single-row SIMD arm. One call
+ *  takes microseconds; timed alone right after another backend's arm,
+ *  one call per run read the scalar NTT 20-45% slower after the
+ *  AVX-512 arms, and the AVX-512 radix-4 walk slower than its radix-2
+ *  neighbour. */
+constexpr int kKernelCallsPerRun = 32;
 
 /** The seed code path, reconstructed: serial limbs, strict radix-2,
  *  native `%` Hadamard. Operates on preallocated buffers. */
@@ -146,23 +96,6 @@ RandomPoly(const std::shared_ptr<const RnsNttContext> &ctx, u64 seed)
         }
     }
     return poly;
-}
-
-template <typename Fn>
-double
-TimeBest_ns(int reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps + 2; ++r) {  // two warm-up reps
-        const auto t0 = Clock::now();
-        fn();
-        const auto t1 = Clock::now();
-        const double ns = Elapsed_ns(t0, t1);
-        if (r >= 2 && (best == 0.0 || ns < best)) {
-            best = ns;
-        }
-    }
-    return best;
 }
 
 int
@@ -225,19 +158,27 @@ BenchMain(int argc, char **argv)
     }
 
     bench::Section("full negacyclic multiply (2 fwd + Hadamard + inv)");
-
-    const double seed_ns = TimeBest_ns(
-        reps, [&] { SeedMultiply(fa, fb, a, b); });
-
-    SetGlobalThreadCount(1);
-    const double fast_ns = TimeBest_ns(
-        reps, [&] { BatchedMultiply(fa, fb, a, b); });
-
+    // The three paths are interleaved arms over one pool of `threads`
+    // lanes. The serial arms raise the grain past any job, so
+    // ParallelFor takes the same caller-only loop a 1-lane pool takes,
+    // without tearing the pool down between arms. The pool arm runs
+    // last in each round and leaves the grain at 1 (always dispatch:
+    // the batch is large).
     SetGlobalThreadCount(threads);
-    SetParallelGrain(1);  // always dispatch: the batch is large
-    GlobalThreadPool();   // spin up workers outside the timed region
-    const double batched_ns = TimeBest_ns(
-        reps, [&] { BatchedMultiply(fa, fb, a, b); });
+    GlobalThreadPool();  // spin up workers outside the timed region
+    bench::ArmTime paths[3];  // seed, fast (1 lane), batched (pool)
+    bench::TimeArms(reps, paths, [&](std::size_t arm) {
+        SetParallelGrain(arm == 2 ? 1
+                                  : std::numeric_limits<std::size_t>::max());
+        if (arm == 0) {
+            SeedMultiply(fa, fb, a, b);
+        } else {
+            BatchedMultiply(fa, fb, a, b);
+        }
+    });
+    const double seed_ns = paths[0].ns;
+    const double fast_ns = paths[1].ns;
+    const double batched_ns = paths[2].ns;
 
     bench::Row("seed (serial, native %)", seed_ns / 1e3, "us");
     bench::Row("fast (1 lane)", fast_ns / 1e3, "us");
@@ -252,7 +193,9 @@ BenchMain(int argc, char **argv)
     // without the pool in the way. Each backend is measured through
     // BOTH stage walkers — the fused radix-4 default (ceil(log N / 2)
     // kernel passes) and the radix-2 ablation walk (log N passes) —
-    // which is how the pass reduction becomes a tracked column.
+    // which is how the pass reduction becomes a tracked column. Every
+    // backend is an arm of one timing, so the cross-backend ratios
+    // compare runs from the same rounds.
     // ------------------------------------------------------------------
     bench::Section("simd backends (1 lane)");
     SetGlobalThreadCount(1);
@@ -273,40 +216,55 @@ BenchMain(int argc, char **argv)
         simd::BackendAvailable(simd::Backend::kAvx512);
     const bool neon_available =
         simd::BackendAvailable(simd::Backend::kNeon);
+    std::vector<simd::Backend> available;
+    for (const auto backend : simd::kAllBackends) {
+        if (simd::BackendAvailable(backend)) {
+            available.push_back(backend);
+        }
+    }
+    const auto slot_of = [&](std::size_t i) {
+        return static_cast<std::size_t>(available[i]);
+    };
     double ntt_backend_ns[kBackends] = {};    // fused radix-4 walker
     double ntt_radix2_ns[kBackends] = {};     // radix-2 reference walk
     double mul_backend_ns[kBackends] = {};
     {
         RnsPoly ntt_poly = a;
-        for (const auto backend : simd::kAllBackends) {
-            if (!simd::BackendAvailable(backend)) {
-                continue;
-            }
-            simd::ForceBackend(backend);
-            const std::size_t slot = static_cast<std::size_t>(backend);
-            ntt_backend_ns[slot] = TimeBest_ns(3 * reps, [&] {
+        // Arms 2i and 2i+1: backend i through each walker.
+        std::vector<bench::ArmTime> ntt(2 * available.size());
+        bench::TimeArms(
+            3 * reps, ntt,
+            [&](std::size_t arm) {
+                simd::ForceBackend(available[arm / 2]);
                 std::copy(a.row(0).begin(), a.row(0).end(),
                           ntt_poly.row(0).begin());
-                NttRadix2Lazy(ntt_poly.row(0),
-                              ctx->engine(0).table());
-            });
-            ntt_radix2_ns[slot] = TimeBest_ns(3 * reps, [&] {
-                std::copy(a.row(0).begin(), a.row(0).end(),
-                          ntt_poly.row(0).begin());
-                NttRadix2LazyUnfused(ntt_poly.row(0),
-                                     ctx->engine(0).table());
-            });
-            mul_backend_ns[slot] = TimeBest_ns(
-                reps, [&] { BatchedMultiply(fa, fb, a, b); });
-            const std::string name = simd::BackendName(backend);
+                if (arm % 2 == 0) {
+                    NttRadix2Lazy(ntt_poly.row(0),
+                                  ctx->engine(0).table());
+                } else {
+                    NttRadix2LazyUnfused(ntt_poly.row(0),
+                                         ctx->engine(0).table());
+                }
+            },
+            kKernelCallsPerRun);
+        std::vector<bench::ArmTime> mul(available.size());
+        bench::TimeArms(reps, mul, [&](std::size_t arm) {
+            simd::ForceBackend(available[arm]);
+            BatchedMultiply(fa, fb, a, b);
+        });
+        simd::ResetBackend();
+        for (std::size_t i = 0; i < available.size(); ++i) {
+            const std::size_t slot = slot_of(i);
+            ntt_backend_ns[slot] = ntt[2 * i].ns;
+            ntt_radix2_ns[slot] = ntt[2 * i + 1].ns;
+            mul_backend_ns[slot] = mul[i].ns;
+            const std::string name = simd::BackendName(available[i]);
             bench::Row("ntt4096 radix4 " + name,
                        ntt_backend_ns[slot] / 1e3, "us");
-            bench::Row("ntt4096 radix2 " + name,
-                       ntt_radix2_ns[slot] / 1e3, "us");
-            bench::Row("multiply " + name, mul_backend_ns[slot] / 1e3,
+            bench::Row("ntt4096 radix2 " + name, ntt_radix2_ns[slot] / 1e3,
                        "us");
+            bench::Row("multiply " + name, mul[i].ns / 1e3, "us");
         }
-        simd::ResetBackend();
     }
     if (avx2_available) {
         bench::Ratio("ntt4096 avx2 vs scalar",
@@ -350,25 +308,31 @@ BenchMain(int argc, char **argv)
         const u64 s = a.row(1)[0] % p0;
         const u64 s_bar = ShoupPrecompute(s, p0);
         std::vector<u64> c0(n), c1(n), c2(n), dst(n);
-        for (const auto backend : simd::kAllBackends) {
-            if (!simd::BackendAvailable(backend)) {
-                continue;
-            }
-            const simd::Kernels &kernels = simd::Get(backend);
-            const std::size_t slot = static_cast<std::size_t>(backend);
-            ew_tensor_ns[slot] = TimeBest_ns(3 * reps, [&] {
-                kernels.tensor_rows(c0.data(), c1.data(), c2.data(),
-                                    a.row(0).data(), a.row(1).data(),
-                                    b.row(0).data(), b.row(1).data(), n,
-                                    consts);
-            });
-            ew_foldrescale_ns[slot] = TimeBest_ns(3 * reps, [&] {
-                kernels.fold_rescale_rows(dst.data(), b.row(0).data(),
-                                          n, p0, s, s_bar);
-            });
-            const std::string name = simd::BackendName(backend);
-            bench::Row("tensor " + name, ew_tensor_ns[slot] / 1e3,
-                       "us");
+        // Arms 2i and 2i+1: backend i's tensor and fold+rescale rows.
+        std::vector<bench::ArmTime> ew(2 * available.size());
+        bench::TimeArms(
+            3 * reps, ew,
+            [&](std::size_t arm) {
+                const simd::Kernels &kernels =
+                    simd::Get(available[arm / 2]);
+                if (arm % 2 == 0) {
+                    kernels.tensor_rows(c0.data(), c1.data(), c2.data(),
+                                        a.row(0).data(), a.row(1).data(),
+                                        b.row(0).data(), b.row(1).data(),
+                                        n, consts);
+                } else {
+                    kernels.fold_rescale_rows(dst.data(),
+                                              b.row(0).data(), n, p0, s,
+                                              s_bar);
+                }
+            },
+            kKernelCallsPerRun);
+        for (std::size_t i = 0; i < available.size(); ++i) {
+            const std::size_t slot = slot_of(i);
+            ew_tensor_ns[slot] = ew[2 * i].ns;
+            ew_foldrescale_ns[slot] = ew[2 * i + 1].ns;
+            const std::string name = simd::BackendName(available[i]);
+            bench::Row("tensor " + name, ew_tensor_ns[slot] / 1e3, "us");
             bench::Row("fold+rescale " + name,
                        ew_foldrescale_ns[slot] / 1e3, "us");
         }
@@ -393,100 +357,77 @@ BenchMain(int argc, char **argv)
     long long alloc_delta;
     {
         BatchedMultiply(fa, fb, a, b);  // ensure buffers are sized
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::AllocCount();
         for (int r = 0; r < 5; ++r) {
             BatchedMultiply(fa, fb, a, b);
         }
-        alloc_delta =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+        alloc_delta = bench::AllocCount() - before;
     }
     std::printf("  heap allocations in 5 steady-state multiplies: %lld\n",
                 alloc_delta);
 
-    const double speedup = seed_ns / batched_ns;
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(
-            f,
-            "{\n"
-            "  \"bench\": \"rns_batch\",\n"
-            "  \"n\": %zu,\n"
-            "  \"limbs\": %zu,\n"
-            "  \"lanes\": %zu,\n"
-            "  \"seed_serial_native_ns\": %.1f,\n"
-            "  \"fast_single_lane_ns\": %.1f,\n"
-            "  \"batched_pool_ns\": %.1f,\n"
-            "  \"speedup_fast_vs_seed\": %.3f,\n"
-            "  \"speedup_batched_vs_seed\": %.3f,\n"
-            "  \"simd_default_backend\": \"%s\",\n"
-            "  \"avx2_available\": %s,\n"
-            "  \"avx512_available\": %s,\n"
-            "  \"neon_available\": %s,\n"
-            "  \"ntt4096_scalar_ns\": %.1f,\n"
-            "  \"ntt4096_avx2_ns\": %.1f,\n"
-            "  \"ntt4096_avx512_ns\": %.1f,\n"
-            "  \"ntt4096_radix2_scalar_ns\": %.1f,\n"
-            "  \"ntt4096_radix2_avx2_ns\": %.1f,\n"
-            "  \"ntt4096_radix2_avx512_ns\": %.1f,\n"
-            "  \"speedup_ntt4096_avx2_vs_scalar\": %.3f,\n"
-            "  \"speedup_ntt4096_radix4_vs_radix2_scalar\": %.3f,\n"
-            "  \"speedup_ntt4096_radix4_vs_radix2_avx2\": %.3f,\n"
-            "  \"speedup_ntt4096_radix4_vs_radix2_avx512\": %.3f,\n"
-            "  \"speedup_ntt4096_radix4_best_vs_pr4_radix2_avx2\": "
-            "%.3f,\n"
-            "  \"multiply_scalar_ns\": %.1f,\n"
-            "  \"multiply_avx2_ns\": %.1f,\n"
-            "  \"multiply_avx512_ns\": %.1f,\n"
-            "  \"speedup_multiply_avx2_vs_scalar\": %.3f,\n"
-            "  \"elementwise_tensor_scalar_ns\": %.1f,\n"
-            "  \"elementwise_tensor_avx2_ns\": %.1f,\n"
-            "  \"elementwise_tensor_avx512_ns\": %.1f,\n"
-            "  \"elementwise_tensor_neon_ns\": %.1f,\n"
-            "  \"elementwise_foldrescale_scalar_ns\": %.1f,\n"
-            "  \"elementwise_foldrescale_avx2_ns\": %.1f,\n"
-            "  \"elementwise_foldrescale_avx512_ns\": %.1f,\n"
-            "  \"elementwise_foldrescale_neon_ns\": %.1f,\n"
-            "  \"speedup_elementwise_tensor_avx512_vs_avx2\": %.3f,\n"
-            "  \"speedup_elementwise_foldrescale_avx512_vs_avx2\": "
-            "%.3f,\n"
-            "  \"steady_state_allocs\": %lld\n"
-            "}\n",
-            n, np, threads, seed_ns, fast_ns, batched_ns,
-            seed_ns / fast_ns, speedup,
-            simd::BackendName(simd::ActiveBackend()),
-            avx2_available ? "true" : "false",
-            avx512_available ? "true" : "false",
-            neon_available ? "true" : "false",
-            ntt_backend_ns[kScalarSlot], ntt_backend_ns[kAvx2Slot],
-            ntt_backend_ns[kAvx512Slot], ntt_radix2_ns[kScalarSlot],
-            ntt_radix2_ns[kAvx2Slot], ntt_radix2_ns[kAvx512Slot],
-            avx2_available
-                ? ntt_backend_ns[kScalarSlot] / ntt_backend_ns[kAvx2Slot]
-                : 0.0,
-            ntt_radix2_ns[kScalarSlot] / ntt_backend_ns[kScalarSlot],
-            avx2_available
-                ? ntt_radix2_ns[kAvx2Slot] / ntt_backend_ns[kAvx2Slot]
-                : 0.0,
-            avx512_available
-                ? ntt_radix2_ns[kAvx512Slot] / ntt_backend_ns[kAvx512Slot]
-                : 0.0,
-            radix4_vs_pr4, mul_backend_ns[kScalarSlot],
-            mul_backend_ns[kAvx2Slot], mul_backend_ns[kAvx512Slot],
-            avx2_available
-                ? mul_backend_ns[kScalarSlot] / mul_backend_ns[kAvx2Slot]
-                : 0.0,
-            ew_tensor_ns[kScalarSlot], ew_tensor_ns[kAvx2Slot],
-            ew_tensor_ns[kAvx512Slot], ew_tensor_ns[kNeonSlot],
-            ew_foldrescale_ns[kScalarSlot], ew_foldrescale_ns[kAvx2Slot],
-            ew_foldrescale_ns[kAvx512Slot], ew_foldrescale_ns[kNeonSlot],
-            ew_tensor_512_vs_2, ew_foldrescale_512_vs_2, alloc_delta);
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
+    bench::JsonObject json("rns_batch");
+    json.Add("n", n);
+    json.Add("limbs", np);
+    json.Add("lanes", threads);
+    json.Add("seed_serial_native_ns", seed_ns);
+    json.Add("fast_single_lane_ns", fast_ns);
+    json.Add("batched_pool_ns", batched_ns);
+    json.Add("speedup_fast_vs_seed", seed_ns / fast_ns);
+    json.Add("speedup_batched_vs_seed", seed_ns / batched_ns);
+    json.Add("simd_default_backend",
+             simd::BackendName(simd::ActiveBackend()));
+    json.Add("avx2_available", avx2_available);
+    json.Add("avx512_available", avx512_available);
+    json.Add("neon_available", neon_available);
+    json.Add("ntt4096_scalar_ns", ntt_backend_ns[kScalarSlot]);
+    json.Add("ntt4096_avx2_ns", ntt_backend_ns[kAvx2Slot]);
+    json.Add("ntt4096_avx512_ns", ntt_backend_ns[kAvx512Slot]);
+    json.Add("ntt4096_radix2_scalar_ns", ntt_radix2_ns[kScalarSlot]);
+    json.Add("ntt4096_radix2_avx2_ns", ntt_radix2_ns[kAvx2Slot]);
+    json.Add("ntt4096_radix2_avx512_ns", ntt_radix2_ns[kAvx512Slot]);
+    json.Add("speedup_ntt4096_avx2_vs_scalar",
+             avx2_available
+                 ? ntt_backend_ns[kScalarSlot] / ntt_backend_ns[kAvx2Slot]
+                 : 0.0);
+    json.Add("speedup_ntt4096_radix4_vs_radix2_scalar",
+             ntt_radix2_ns[kScalarSlot] / ntt_backend_ns[kScalarSlot]);
+    json.Add("speedup_ntt4096_radix4_vs_radix2_avx2",
+             avx2_available
+                 ? ntt_radix2_ns[kAvx2Slot] / ntt_backend_ns[kAvx2Slot]
+                 : 0.0);
+    json.Add("speedup_ntt4096_radix4_vs_radix2_avx512",
+             avx512_available ? ntt_radix2_ns[kAvx512Slot] /
+                                    ntt_backend_ns[kAvx512Slot]
+                              : 0.0);
+    json.Add("speedup_ntt4096_radix4_best_vs_pr4_radix2_avx2",
+             radix4_vs_pr4);
+    json.Add("multiply_scalar_ns", mul_backend_ns[kScalarSlot]);
+    json.Add("multiply_avx2_ns", mul_backend_ns[kAvx2Slot]);
+    json.Add("multiply_avx512_ns", mul_backend_ns[kAvx512Slot]);
+    json.Add("speedup_multiply_avx2_vs_scalar",
+             avx2_available
+                 ? mul_backend_ns[kScalarSlot] / mul_backend_ns[kAvx2Slot]
+                 : 0.0);
+    json.Add("elementwise_tensor_scalar_ns", ew_tensor_ns[kScalarSlot]);
+    json.Add("elementwise_tensor_avx2_ns", ew_tensor_ns[kAvx2Slot]);
+    json.Add("elementwise_tensor_avx512_ns", ew_tensor_ns[kAvx512Slot]);
+    json.Add("elementwise_tensor_neon_ns", ew_tensor_ns[kNeonSlot]);
+    json.Add("elementwise_foldrescale_scalar_ns",
+             ew_foldrescale_ns[kScalarSlot]);
+    json.Add("elementwise_foldrescale_avx2_ns",
+             ew_foldrescale_ns[kAvx2Slot]);
+    json.Add("elementwise_foldrescale_avx512_ns",
+             ew_foldrescale_ns[kAvx512Slot]);
+    json.Add("elementwise_foldrescale_neon_ns",
+             ew_foldrescale_ns[kNeonSlot]);
+    json.Add("speedup_elementwise_tensor_avx512_vs_avx2",
+             ew_tensor_512_vs_2);
+    json.Add("speedup_elementwise_foldrescale_avx512_vs_avx2",
+             ew_foldrescale_512_vs_2);
+    json.Add("steady_state_allocs", alloc_delta);
+    if (!json.Write(json_path)) {
+        return 1;
     }
 
     if (alloc_delta != 0) {

@@ -34,17 +34,18 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "harness.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "he/bgv.h"
@@ -53,76 +54,12 @@
 #include "serve/session.h"
 #include "simd/simd_backend.h"
 
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement so the bench can
-// prove the steady-state wavefront kernel does not touch the heap
-// (same counter as bench_rns_batch / bench_he_pipeline).
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 namespace hentt::serve {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-Elapsed_ns(Clock::time_point t0, Clock::time_point t1)
-{
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-struct WaveResult {
-    double total_ns = 0.0;  ///< submit-first → last-settled
-    double p50_ns = 0.0;    ///< per-request submit→settled latency
-    double p99_ns = 0.0;
-    WireStats stats;
-};
-
-/** Waves per timed rep: enough consecutive waves that one rep spans
+/** Waves per timed run: enough consecutive waves that one run spans
  *  tens of milliseconds, riding out scheduler noise on small hosts. */
-constexpr int kWavesPerRep = 8;
+constexpr int kWavesPerRun = 8;
 
 /** Exit gate on the 1-session row. One N=64 Mul→ModSwitch request
  *  costs tens of microseconds end to end, so any fixed hold on
@@ -131,75 +68,75 @@ constexpr int kWavesPerRep = 8;
 constexpr double kLoneRequestLimitNs = 1e6;
 
 /**
- * Run timed reps (plus one warm-up) of @p kWavesPerRep consecutive
- * waves. In each wave every one of @p session_count sessions submits
- * one Mul→ModSwitch program (both stages keyless, so they batch
- * across every client), then all results are collected. Keeps the
- * best rep by total wall time; total_ns comes back per wave.
+ * One timed arm: a server configuration at a session count, served by
+ * its own Coalescer that lives across every run (as the daemon's
+ * does), so the timed runs hold only request traffic. Keeps each
+ * run's per-request latencies and coalesced-request count, in run
+ * order, for the run the timer reports as best.
  */
-WaveResult
-RunWave(const BatchConfig &config,
-        const std::vector<std::shared_ptr<Session>> &all_sessions,
-        std::size_t session_count,
-        const std::shared_ptr<he::ScratchArena> &arena,
-        const he::Ciphertext &ct_a, const he::Ciphertext &ct_b,
-        int reps)
+struct ServeArm {
+    std::size_t sessions = 0;
+    std::unique_ptr<Coalescer> coalescer;
+    std::vector<u64> ids;
+    std::vector<std::chrono::steady_clock::time_point> submitted;
+    std::vector<std::vector<double>> latency_ns;  ///< per run
+    std::vector<u64> coalesced;                   ///< per run
+};
+
+/**
+ * One run of @p arm: kWavesPerRun consecutive waves. In each wave
+ * every session submits one Mul→ModSwitch program (both stages
+ * keyless, so they batch across every client), then all results are
+ * collected.
+ */
+void
+RunWaves(ServeArm &arm,
+         const std::vector<std::shared_ptr<Session>> &all_sessions,
+         const std::vector<WireProgram::Op> &program,
+         const he::Ciphertext &ct_a, const he::Ciphertext &ct_b)
 {
-    const std::vector<WireProgram::Op> kProgram = {
-        {WireOp::kMul, 0, 1},
-        {WireOp::kModSwitch, 2, 0},
-    };
-    WaveResult best;
-    for (int r = 0; r < reps + 1; ++r) {  // one warm-up rep
-        Coalescer coalescer(config, arena);
-        coalescer.Start();
-        std::vector<u64> ids(session_count);
-        std::vector<Clock::time_point> submitted(session_count);
-        std::vector<double> latency_ns;
-        latency_ns.reserve(session_count * kWavesPerRep);
-        const auto t0 = Clock::now();
-        for (int wave = 0; wave < kWavesPerRep; ++wave) {
-            for (std::size_t s = 0; s < session_count; ++s) {
-                submitted[s] = Clock::now();
-                Result<u64> id = coalescer.Submit(
-                    all_sessions[s], {ct_a, ct_b}, kProgram, {3});
-                if (!id.ok()) {
-                    std::fprintf(stderr, "submit failed: %s\n",
-                                 id.status().ToString().c_str());
-                    std::exit(1);
-                }
-                ids[s] = *id;
+    using Clock = std::chrono::steady_clock;
+    std::vector<double> &latency_ns = arm.latency_ns.emplace_back();
+    latency_ns.reserve(arm.sessions * kWavesPerRun);
+    const u64 coalesced_before =
+        arm.coalescer->StatsSnapshot().coalesced_requests;
+    for (int wave = 0; wave < kWavesPerRun; ++wave) {
+        for (std::size_t s = 0; s < arm.sessions; ++s) {
+            arm.submitted[s] = Clock::now();
+            Result<u64> id = arm.coalescer->Submit(
+                all_sessions[s], {ct_a, ct_b}, program, {3});
+            if (!id.ok()) {
+                std::fprintf(stderr, "submit failed: %s\n",
+                             id.status().ToString().c_str());
+                std::exit(1);
             }
-            for (std::size_t s = 0; s < session_count; ++s) {
-                const PollResult result =
-                    coalescer.Wait(ids[s], all_sessions[s]->id);
-                latency_ns.push_back(
-                    Elapsed_ns(submitted[s], Clock::now()));
-                if (!result.status.ok()) {
-                    std::fprintf(stderr, "request failed: %s\n",
-                                 result.status.ToString().c_str());
-                    std::exit(1);
-                }
+            arm.ids[s] = *id;
+        }
+        for (std::size_t s = 0; s < arm.sessions; ++s) {
+            const PollResult result =
+                arm.coalescer->Wait(arm.ids[s], all_sessions[s]->id);
+            latency_ns.push_back(
+                std::chrono::duration<double, std::nano>(
+                    Clock::now() - arm.submitted[s])
+                    .count());
+            if (!result.status.ok()) {
+                std::fprintf(stderr, "request failed: %s\n",
+                             result.status.ToString().c_str());
+                std::exit(1);
             }
-        }
-        const double total =
-            Elapsed_ns(t0, Clock::now()) / kWavesPerRep;
-        const WireStats stats = coalescer.StatsSnapshot();
-        coalescer.Stop();
-        if (r == 0) {
-            continue;
-        }
-        if (best.total_ns == 0.0 || total < best.total_ns) {
-            std::sort(latency_ns.begin(), latency_ns.end());
-            const std::size_t count = latency_ns.size();
-            best.total_ns = total;
-            best.p50_ns = latency_ns[count / 2];
-            best.p99_ns = latency_ns[std::min(
-                count - 1, (count * 99) / 100)];
-            best.stats = stats;
         }
     }
-    return best;
+    arm.coalesced.push_back(
+        arm.coalescer->StatsSnapshot().coalesced_requests -
+        coalesced_before);
+}
+
+/** The @p percent-th percentile of one run's sorted latencies. */
+double
+Percentile(const std::vector<double> &sorted, std::size_t percent)
+{
+    return sorted[std::min(sorted.size() - 1,
+                           (sorted.size() * percent) / 100)];
 }
 
 int
@@ -252,11 +189,10 @@ BenchMain(int argc, char **argv)
                   "cross-client batching: coalesced wavefronts vs "
                   "per-session dispatch");
     std::printf("config: N=%zu, limbs=%zu, lanes=%zu, "
-                "workload=Mul+ModSwitch per session, %d waves/rep\n",
+                "workload=Mul+ModSwitch per session, %d waves/run\n",
                 params.degree, params.prime_count, threads,
-                kWavesPerRep);
+                kWavesPerRun);
 
-    constexpr std::size_t kSessionCounts[] = {1, 8, 64, 512};
     constexpr std::size_t kMaxSessions = 512;
     constexpr std::size_t kAblationSessions = 64;
 
@@ -297,53 +233,75 @@ BenchMain(int argc, char **argv)
     SetGlobalThreadCount(threads);
     GlobalThreadPool();  // spin up workers outside the timed region
 
+    // The arms: the coalescing server (up to 64 requests per batch) at
+    // each session count, plus the unbatched ablation (max_batch = 1,
+    // every request its own batch) at 64 sessions. One timing runs them
+    // all, so speedup_batched_vs_unbatched divides runs from the same
+    // rounds; its two arms run back to back.
     BatchConfig batched;
     batched.max_batch = 64;
     BatchConfig unbatched;
     unbatched.max_batch = 1;
-
-    bench::Section("batched (coalesced wavefronts)");
-    double batched_per_op_ns[4] = {};
-    double batched_p50_ns[4] = {};
-    double batched_p99_ns[4] = {};
-    double batched_total_64_ns = 0.0;
-    u64 coalesced_64 = 0, max_batch_64 = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        const std::size_t count = kSessionCounts[i];
-        const WaveResult wave = RunWave(batched, all_sessions, count,
-                                        arena, ct_a, ct_b, reps);
-        batched_per_op_ns[i] = wave.total_ns / count;
-        batched_p50_ns[i] = wave.p50_ns;
-        batched_p99_ns[i] = wave.p99_ns;
-        if (count == kAblationSessions) {
-            batched_total_64_ns = wave.total_ns;
-            coalesced_64 = wave.stats.coalesced_requests;
-            max_batch_64 = wave.stats.max_batch_observed;
-        }
-        std::printf("  %4zu sessions: %9.1f us/op  %9.0f ops/s  "
-                    "p50 %8.1f us  p99 %8.1f us  (max batch %llu)\n",
-                    count, batched_per_op_ns[i] / 1e3,
-                    1e9 / batched_per_op_ns[i], wave.p50_ns / 1e3,
-                    wave.p99_ns / 1e3,
-                    static_cast<unsigned long long>(
-                        wave.stats.max_batch_observed));
+    struct ArmConfig {
+        std::size_t sessions;
+        const BatchConfig &config;
+        const char *label;
+    };
+    const ArmConfig kArmConfigs[] = {
+        {1, batched, "batched"},
+        {8, batched, "batched"},
+        {kAblationSessions, batched, "batched"},
+        {kAblationSessions, unbatched, "unbatched"},
+        {512, batched, "batched"},
+    };
+    constexpr std::size_t kArms = std::size(kArmConfigs);
+    constexpr std::size_t kBatched64 = 2;
+    constexpr std::size_t kUnbatched64 = 3;
+    const std::vector<WireProgram::Op> program = {
+        {WireOp::kMul, 0, 1},
+        {WireOp::kModSwitch, 2, 0},
+    };
+    ServeArm arms[kArms];
+    for (std::size_t i = 0; i < kArms; ++i) {
+        arms[i].sessions = kArmConfigs[i].sessions;
+        arms[i].ids.resize(arms[i].sessions);
+        arms[i].submitted.resize(arms[i].sessions);
+        arms[i].coalescer =
+            std::make_unique<Coalescer>(kArmConfigs[i].config, arena);
+        arms[i].coalescer->Start();
     }
+    bench::ArmTime best[kArms];
+    bench::TimeArms(reps, best, [&](std::size_t arm) {
+        RunWaves(arms[arm], all_sessions, program, ct_a, ct_b);
+    });
 
-    bench::Section("unbatched ablation (per-session dispatch)");
-    const WaveResult unbatched_wave =
-        RunWave(unbatched, all_sessions, kAblationSessions, arena,
-                ct_a, ct_b, reps);
-    const double unbatched_per_op_ns =
-        unbatched_wave.total_ns / kAblationSessions;
-    std::printf("  %4zu sessions: %9.1f us/op  %9.0f ops/s  "
-                "p50 %8.1f us  p99 %8.1f us\n",
-                kAblationSessions, unbatched_per_op_ns / 1e3,
-                1e9 / unbatched_per_op_ns,
-                unbatched_wave.p50_ns / 1e3,
-                unbatched_wave.p99_ns / 1e3);
-
+    bench::Section("coalesced wavefronts (batched) vs per-session "
+                   "dispatch (unbatched)");
+    double per_op_ns[kArms] = {};
+    double p50_ns[kArms] = {};
+    double p99_ns[kArms] = {};
+    u64 max_batch[kArms] = {};
+    for (std::size_t i = 0; i < kArms; ++i) {
+        ServeArm &arm = arms[i];
+        std::vector<double> &latency = arm.latency_ns[best[i].round];
+        std::sort(latency.begin(), latency.end());
+        per_op_ns[i] = best[i].ns / kWavesPerRun /
+                       static_cast<double>(arm.sessions);
+        p50_ns[i] = Percentile(latency, 50);
+        p99_ns[i] = Percentile(latency, 99);
+        max_batch[i] = arm.coalescer->StatsSnapshot().max_batch_observed;
+        arm.coalescer->Stop();
+        std::printf("  %-9s %4zu sessions: %9.1f us/op  %9.0f ops/s  "
+                    "p50 %8.1f us  p99 %8.1f us  (max batch %llu)\n",
+                    kArmConfigs[i].label, arm.sessions,
+                    per_op_ns[i] / 1e3, 1e9 / per_op_ns[i],
+                    p50_ns[i] / 1e3, p99_ns[i] / 1e3,
+                    static_cast<unsigned long long>(max_batch[i]));
+    }
+    const u64 coalesced_64 =
+        arms[kBatched64].coalesced[best[kBatched64].round];
     const double speedup =
-        unbatched_wave.total_ns / batched_total_64_ns;
+        per_op_ns[kUnbatched64] / per_op_ns[kBatched64];
     bench::Ratio("batched vs unbatched (64)", speedup);
 
     // ------------------------------------------------------------------
@@ -365,61 +323,39 @@ BenchMain(int argc, char **argv)
         }
         he::BatchMul(ctx, a, b, dst);  // warm: arena + outputs sized
         he::BatchMul(ctx, a, b, dst);
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::AllocCount();
         for (int r = 0; r < 5; ++r) {
             he::BatchMul(ctx, a, b, dst);
         }
-        steady_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+        steady_allocs = bench::AllocCount() - before;
     }
     std::printf("\nsteady-state allocs (5 warm 64-wide wavefront "
                 "kernels): %lld\n",
                 steady_allocs);
 
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(
-            f,
-            "{\n"
-            "  \"bench\": \"serve\",\n"
-            "  \"n\": %zu,\n"
-            "  \"limbs\": %zu,\n"
-            "  \"lanes\": %zu,\n"
-            "  \"serve_batched_1_ns\": %.1f,\n"
-            "  \"serve_batched_8_ns\": %.1f,\n"
-            "  \"serve_batched_64_ns\": %.1f,\n"
-            "  \"serve_batched_512_ns\": %.1f,\n"
-            "  \"serve_p50_64_ns\": %.1f,\n"
-            "  \"serve_p99_64_ns\": %.1f,\n"
-            "  \"serve_unbatched_64_ns\": %.1f,\n"
-            "  \"speedup_batched_vs_unbatched\": %.3f,\n"
-            "  \"coalesced_requests_64\": %llu,\n"
-            "  \"max_batch_observed_64\": %llu,\n"
-            "  \"steady_state_allocs\": %lld,\n"
-            "  \"simd_default_backend\": \"%s\",\n"
-            "  \"avx2_available\": %s,\n"
-            "  \"avx512_available\": %s\n"
-            "}\n",
-            params.degree, params.prime_count, threads,
-            batched_per_op_ns[0], batched_per_op_ns[1],
-            batched_per_op_ns[2], batched_per_op_ns[3],
-            batched_p50_ns[2], batched_p99_ns[2], unbatched_per_op_ns,
-            speedup,
-            static_cast<unsigned long long>(coalesced_64),
-            static_cast<unsigned long long>(max_batch_64),
-            steady_allocs,
-            simd::BackendName(simd::ActiveBackend()),
-            simd::BackendAvailable(simd::Backend::kAvx2) ? "true"
-                                                         : "false",
-            simd::BackendAvailable(simd::Backend::kAvx512) ? "true"
-                                                           : "false");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
+    bench::JsonObject json("serve");
+    json.Add("n", params.degree);
+    json.Add("limbs", params.prime_count);
+    json.Add("lanes", threads);
+    json.Add("serve_batched_1_ns", per_op_ns[0]);
+    json.Add("serve_batched_8_ns", per_op_ns[1]);
+    json.Add("serve_batched_64_ns", per_op_ns[kBatched64]);
+    json.Add("serve_batched_512_ns", per_op_ns[4]);
+    json.Add("serve_p50_64_ns", p50_ns[kBatched64]);
+    json.Add("serve_p99_64_ns", p99_ns[kBatched64]);
+    json.Add("serve_unbatched_64_ns", per_op_ns[kUnbatched64]);
+    json.Add("speedup_batched_vs_unbatched", speedup);
+    json.Add("coalesced_requests_64", coalesced_64);
+    json.Add("max_batch_observed_64", max_batch[kBatched64]);
+    json.Add("steady_state_allocs", steady_allocs);
+    json.Add("simd_default_backend",
+             simd::BackendName(simd::ActiveBackend()));
+    json.Add("avx2_available",
+             simd::BackendAvailable(simd::Backend::kAvx2));
+    json.Add("avx512_available",
+             simd::BackendAvailable(simd::Backend::kAvx512));
+    if (!json.Write(json_path)) {
+        return 1;
     }
 
     if (speedup <= 1.0) {
@@ -430,14 +366,14 @@ BenchMain(int argc, char **argv)
                      kAblationSessions, speedup);
         return 1;
     }
-    if (batched_per_op_ns[0] >= kLoneRequestLimitNs) {
+    if (per_op_ns[0] >= kLoneRequestLimitNs) {
         std::fprintf(stderr,
                      "FAIL: a lone request took %.1f us (limit %.0f us): "
                      "admission held it instead of starting it\n",
-                     batched_per_op_ns[0] / 1e3, kLoneRequestLimitNs / 1e3);
+                     per_op_ns[0] / 1e3, kLoneRequestLimitNs / 1e3);
         return 1;
     }
-    if (max_batch_64 <= 1) {
+    if (max_batch[kBatched64] <= 1) {
         std::fprintf(stderr,
                      "FAIL: no coalescing observed at %zu sessions\n",
                      kAblationSessions);

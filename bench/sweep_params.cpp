@@ -28,79 +28,27 @@
  * `steady_state_allocs` must never grow.
  */
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/modarith.h"
+#include "harness.h"
 #include "common/thread_pool.h"
 #include "he/bgv.h"
 #include "he/ciphertext_batch.h"
 #include "simd/simd_backend.h"
 
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement so every sweep
-// row can prove its steady-state tower walk never touches the heap
-// (same counter as bench_deep_circuit / bench_he_pipeline).
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 namespace hentt::he {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // ------------------------------------------------------------- axes
 /** One comma-list CLI axis, SLATE-Params style: the cross product of
@@ -223,86 +171,89 @@ GetBundle(std::map<std::pair<std::size_t, std::size_t>,
 }
 
 // ------------------------------------------------------ measurement
-double
-Elapsed_ns(Clock::time_point t0, Clock::time_point t1)
-{
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-template <typename Fn>
-double
-TimeBest_ns(int reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = Clock::now();
-        fn();
-        const auto t1 = Clock::now();
-        const double ns = Elapsed_ns(t0, t1);
-        if (best == 0.0 || ns < best) {
-            best = ns;
-        }
-    }
-    return best;
-}
+/** Back-to-back calls per timed run of one tower stage. Interleaved
+ *  with every other level, a single call starts on operands the other
+ *  arms evicted. On a 4-core AVX-512 host, 8 runs of
+ *  speedup_deep_level2_vs_level8 spread over 3.5-5.1 with one call per
+ *  run and over 4.5-4.9 with four. */
+constexpr int kTowerCallsPerRun = 4;
 
 struct TowerTiming {
-    std::vector<double> level_ns;  ///< per-level Mul + fused descend
-    double total_ns = 0.0;         ///< sum over the walked levels
-    long long allocs = 0;          ///< heap allocs in the timed region
-    Ciphertext bottom;             ///< final accumulator (for checks)
+    /** level_ns[b][d]: best Mul + fused descend at walked level d on
+     *  the b-th measured backend. */
+    std::vector<std::vector<double>> level_ns;
+    long long allocs = 0;  ///< heap allocs in the timed region
+    Ciphertext bottom;     ///< final accumulator (for checks)
+
+    /** Tower time on the b-th backend down to depth @p depth. */
+    double
+    Total(std::size_t b, std::size_t depth) const
+    {
+        double ns = 0.0;
+        for (std::size_t d = 0; d < depth; ++d) {
+            ns += level_ns[b][d];
+        }
+        return ns;
+    }
 };
 
-/** Walk `depth` levels of the Mul -> fused RelinModSwitch tower with
- *  the batched kernels; per level: warm the arena + output shapes
- *  (2x), then take best-of-reps with preallocated outputs and count
- *  heap allocations across the timed region. */
+/** Time `depth` levels of the Mul -> fused RelinModSwitch tower on each
+ *  of @p backends with the batched kernels. Each (backend, level,
+ *  stage) is one interleaved arm over preallocated per-level operands
+ *  and outputs. An untimed walk down the chain on the first backend
+ *  builds those operands, an untimed pass over every arm sizes the
+ *  arena on each backend, and the heap allocations of the whole timed
+ *  region are counted. */
 TowerTiming
-MeasureTower(SchemeBundle &bundle, std::size_t depth, int reps)
+MeasureTower(SchemeBundle &bundle, std::size_t depth, int reps,
+             std::span<const simd::Backend> backends)
 {
-    TowerTiming t;
     const HeContext &ctx = *bundle.ctx;
-    Ciphertext acc = bundle.ct_a;
-    Ciphertext factor = bundle.ct_b;
-    const std::size_t np = ctx.params().prime_count;
-    for (std::size_t level = np; level >= 2 && level + depth >= np + 1;
-         --level) {
-        const Ciphertext *mul_a[] = {&acc};
-        const Ciphertext *mul_b[] = {&factor};
-        Ciphertext prod;
-        Ciphertext *mul_out[] = {&prod};
-        const Ciphertext *relin_in[] = {&prod};
-        Ciphertext down;
-        Ciphertext *down_out[] = {&down};
-
-        BatchMul(ctx, mul_a, mul_b, mul_out);
-        BatchRelinModSwitch(ctx, bundle.rk, relin_in, down_out);
-        BatchMul(ctx, mul_a, mul_b, mul_out);
-        BatchRelinModSwitch(ctx, bundle.rk, relin_in, down_out);
-
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
-        const double mul_ns = TimeBest_ns(reps, [&] {
+    struct Level {
+        Ciphertext acc, factor, prod, down;
+    };
+    std::vector<Level> levels(depth);
+    // Arm (b * depth + d) * 2 + stage: backend b, level d, stage 0
+    // (tensor) or 1 (fused descend).
+    const auto run = [&](std::size_t arm) {
+        simd::ForceBackend(backends[arm / (2 * depth)]);
+        Level &lv = levels[(arm / 2) % depth];
+        if (arm % 2 == 0) {
+            const Ciphertext *mul_a[] = {&lv.acc};
+            const Ciphertext *mul_b[] = {&lv.factor};
+            Ciphertext *mul_out[] = {&lv.prod};
             BatchMul(ctx, mul_a, mul_b, mul_out);
-        });
-        const double descend_ns = TimeBest_ns(reps, [&] {
+        } else {
+            const Ciphertext *relin_in[] = {&lv.prod};
+            Ciphertext *down_out[] = {&lv.down};
             BatchRelinModSwitch(ctx, bundle.rk, relin_in, down_out);
-        });
-        t.allocs += g_alloc_count.load(std::memory_order_relaxed) -
-                    before;
-        t.level_ns.push_back(mul_ns + descend_ns);
-        t.total_ns += mul_ns + descend_ns;
-
-        acc = down;
-        if (level > 2) {
-            const Ciphertext *ms_in[] = {&factor};
-            Ciphertext switched;
-            Ciphertext *ms_out[] = {&switched};
-            BatchModSwitch(ctx, ms_in, ms_out);
-            factor = switched;
         }
+    };
+
+    TowerTiming t;
+    t.bottom = bundle.ct_a;
+    Ciphertext factor = bundle.ct_b;
+    for (std::size_t d = 0; d < depth; ++d) {
+        levels[d].acc = t.bottom;
+        levels[d].factor = factor;
+        run(2 * d);
+        run(2 * d + 1);
+        t.bottom = levels[d].down;
+        factor = bundle.scheme->ModSwitch(factor);
     }
-    t.bottom = std::move(acc);
+    std::vector<bench::ArmTime> best(2 * depth * backends.size());
+    for (std::size_t arm = 0; arm < best.size(); ++arm) {
+        run(arm);
+    }
+    const long long before = bench::AllocCount();
+    bench::TimeArms(reps, best, run, kTowerCallsPerRun);
+    t.allocs = bench::AllocCount() - before;
+
+    t.level_ns.assign(backends.size(), std::vector<double>(depth));
+    for (std::size_t arm = 0; arm < best.size(); arm += 2) {
+        t.level_ns[arm / (2 * depth)][(arm / 2) % depth] =
+            best[arm].ns + best[arm + 1].ns;
+    }
     return t;
 }
 
@@ -347,6 +298,23 @@ BitIdentical(const Ciphertext &x, const Ciphertext &y)
     return true;
 }
 
+/** The `depth`-level tower through the scheme API on the scalar
+ *  backend: the reference a measured walk must match bit for bit. */
+Ciphertext
+ScalarTower(SchemeBundle &bundle, std::size_t depth)
+{
+    simd::ForceBackend(simd::Backend::kScalar);
+    Ciphertext acc = bundle.ct_a;
+    Ciphertext factor = bundle.ct_b;
+    for (std::size_t d = 0; d < depth; ++d) {
+        acc = bundle.scheme->RelinModSwitch(
+            bundle.scheme->Mul(acc, factor), bundle.rk);
+        factor = bundle.scheme->ModSwitch(factor);
+    }
+    simd::ResetBackend();
+    return acc;
+}
+
 /** Row check: plaintext oracle for small rings, cross-backend
  *  bit-identity + positive noise budget for big ones.  Returns a
  *  short status string for the table's check column. */
@@ -366,18 +334,9 @@ CheckRow(SchemeBundle &bundle, const TowerTiming &t, std::size_t depth)
         }
         return "ok(oracle)";
     }
-    // Ring too big for the schoolbook oracle: re-walk on the scalar
-    // backend and demand bit-identity, then positive noise headroom.
-    simd::ForceBackend(simd::Backend::kScalar);
-    Ciphertext acc = bundle.ct_a;
-    Ciphertext factor = bundle.ct_b;
-    for (std::size_t d = 0; d < depth; ++d) {
-        acc = bundle.scheme->RelinModSwitch(
-            bundle.scheme->Mul(acc, factor), bundle.rk);
-        factor = bundle.scheme->ModSwitch(factor);
-    }
-    simd::ResetBackend();
-    if (!BitIdentical(acc, t.bottom)) {
+    // Ring too big for the schoolbook oracle: demand bit-identity with
+    // the scalar walk, then positive noise headroom.
+    if (!BitIdentical(ScalarTower(bundle, depth), t.bottom)) {
         return "FAIL(backend)";
     }
     if (bundle.scheme->NoiseBudgetBits(bundle.sk, t.bottom) <= 0.0) {
@@ -389,8 +348,9 @@ CheckRow(SchemeBundle &bundle, const TowerTiming &t, std::size_t depth)
 // -------------------------------------------------------- JSON mode
 /** Canonical gated series: N=4096 x 8 limbs, depths 1/2/4/7 as
  *  prefix sums of one full-depth walk, plus a scalar-backend ablation
- *  at full depth.  Axis flags are ignored on purpose — the committed
- *  trajectory must always describe the same workload. */
+ *  at full depth, timed as interleaved arms of one measurement.  Axis
+ *  flags are ignored on purpose — the committed trajectory must always
+ *  describe the same workload. */
 int
 EmitJson(const std::string &path, int reps)
 {
@@ -401,71 +361,49 @@ EmitJson(const std::string &path, int reps)
     const std::size_t full_depth = 7;
 
     simd::ResetBackend();
-    TowerTiming def = MeasureTower(bundle, full_depth, reps);
-    const char *def_name = simd::BackendName(simd::ActiveBackend());
-
-    simd::ForceBackend(simd::Backend::kScalar);
-    TowerTiming scal = MeasureTower(bundle, full_depth, reps);
+    const simd::Backend backends[] = {simd::ActiveBackend(),
+                                      simd::Backend::kScalar};
+    const TowerTiming t = MeasureTower(bundle, full_depth, reps, backends);
     simd::ResetBackend();
 
-    if (!BitIdentical(def.bottom, scal.bottom)) {
+    if (!BitIdentical(t.bottom, ScalarTower(bundle, full_depth))) {
         std::fprintf(stderr,
                      "FAIL: default-backend tower != scalar tower\n");
         return 1;
     }
 
-    auto prefix_ns = [&](std::size_t depth) {
-        double s = 0.0;
-        for (std::size_t d = 0; d < depth; ++d) {
-            s += def.level_ns[d];
-        }
-        return s;
-    };
-    const double d1 = prefix_ns(1), d2 = prefix_ns(2),
-                 d4 = prefix_ns(4), d7 = prefix_ns(7);
-    const long long allocs = def.allocs + scal.allocs;
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    const double d1 = t.Total(0, 1);
+    const double d7 = t.Total(0, 7);
+    const double scalar_ns = t.Total(1, 7);
+    bench::JsonObject json("deep_circuit");
+    json.Add("n", 4096);
+    json.Add("limbs", 8);
+    json.Add("depth", 7);
+    json.Add("lanes", GlobalThreadCount());
+    json.Add("deep_tower_depth1_ns", d1);
+    json.Add("deep_tower_depth2_ns", t.Total(0, 2));
+    json.Add("deep_tower_depth4_ns", t.Total(0, 4));
+    json.Add("deep_tower_depth7_ns", d7);
+    json.Add("deep_tower_depth7_scalar_ns", scalar_ns);
+    json.Add("speedup_deep_tower_vs_scalar", scalar_ns / d7);
+    json.Add("speedup_deep_depth_scaling", full_depth * d1 / d7);
+    json.Add("speedup_deep_level2_vs_level8",
+             t.level_ns[0].front() / t.level_ns[0].back());
+    json.Add("steady_state_allocs", t.allocs);
+    json.Add("simd_default_backend", simd::BackendName(backends[0]));
+    json.Add("avx2_available",
+             simd::BackendAvailable(simd::Backend::kAvx2));
+    json.Add("avx512_available",
+             simd::BackendAvailable(simd::Backend::kAvx512));
+    if (!json.Write(path)) {
         return 1;
     }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"bench\": \"deep_circuit\",\n"
-        "  \"n\": 4096,\n"
-        "  \"limbs\": 8,\n"
-        "  \"depth\": 7,\n"
-        "  \"lanes\": %zu,\n"
-        "  \"deep_tower_depth1_ns\": %.1f,\n"
-        "  \"deep_tower_depth2_ns\": %.1f,\n"
-        "  \"deep_tower_depth4_ns\": %.1f,\n"
-        "  \"deep_tower_depth7_ns\": %.1f,\n"
-        "  \"deep_tower_depth7_scalar_ns\": %.1f,\n"
-        "  \"speedup_deep_tower_vs_scalar\": %.3f,\n"
-        "  \"speedup_deep_depth_scaling\": %.3f,\n"
-        "  \"speedup_deep_level2_vs_level8\": %.3f,\n"
-        "  \"steady_state_allocs\": %lld,\n"
-        "  \"simd_default_backend\": \"%s\",\n"
-        "  \"avx2_available\": %s,\n"
-        "  \"avx512_available\": %s\n"
-        "}\n",
-        GlobalThreadCount(), d1, d2, d4, d7, scal.total_ns,
-        scal.total_ns / d7, full_depth * d1 / d7,
-        def.level_ns.front() / def.level_ns.back(), allocs, def_name,
-        simd::BackendAvailable(simd::Backend::kAvx2) ? "true"
-                                                     : "false",
-        simd::BackendAvailable(simd::Backend::kAvx512) ? "true"
-                                                       : "false");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
 
-    if (allocs != 0) {
+    if (t.allocs != 0) {
         std::fprintf(stderr,
                      "FAIL: steady-state tower allocated %lld times "
                      "(must be 0 at every depth)\n",
-                     allocs);
+                     t.allocs);
         return 1;
     }
     return 0;
@@ -556,8 +494,11 @@ SweepMain(int argc, char **argv)
                             simd::ResetBackend();
                         }
                         SchemeBundle &bundle = GetBundle(cache, n, limbs);
-                        TowerTiming t =
-                            MeasureTower(bundle, depth, axes.reps);
+                        const simd::Backend active[] = {
+                            simd::ActiveBackend()};
+                        const TowerTiming t = MeasureTower(
+                            bundle, depth, axes.reps, active);
+                        const double tower_ns = t.Total(0, depth);
                         std::string check;
                         if (axes.check) {
                             check = CheckRow(bundle, t, depth);
@@ -572,8 +513,8 @@ SweepMain(int argc, char **argv)
                         std::printf("%6zu %6zu %6zu %8s %8zu %14.1f "
                                     "%12.1f %7lld  %s\n",
                                     n, limbs, depth, bname.c_str(),
-                                    threads, t.total_ns / 1e3,
-                                    t.total_ns / 1e3 /
+                                    threads, tower_ns / 1e3,
+                                    tower_ns / 1e3 /
                                         static_cast<double>(depth),
                                     t.allocs, check.c_str());
                     }

@@ -21,8 +21,10 @@ Contract (documented in docs/BENCHMARKS.md):
   known-slow or heavily shared runners (CI wires a PR label to it).
 - A series present in the baseline but missing from the fresh output
   fails the gate (a silently dropped column is how a perf trajectory
-  rots); series that are 0/absent in the baseline are skipped (e.g.
-  AVX-512 columns recorded on a host without AVX-512).
+  rots), and so does a fresh key the baseline lacks (a new column must
+  be committed with its baseline, or it is never gated); series that
+  are 0 in the baseline are skipped (e.g. AVX-512 columns recorded on
+  a host without AVX-512).
 
 Usage:
     check_bench_regression.py --baseline DIR --fresh DIR
@@ -116,6 +118,9 @@ def compare(baseline, fresh, threshold=DEFAULT_THRESHOLD,
                 f"{key}: {base_value:.3f}x -> {new_value:.3f}x "
                 f"({new_value / base_value:.2f} of baseline, threshold "
                 f"{1 - threshold:.2f})")
+    for key in fresh:
+        if key not in baseline:
+            failures.append(f"{key}: fresh key missing from the baseline")
     return failures
 
 
@@ -217,6 +222,17 @@ def self_test():
     expect("dropped series fails", len(compare(base, dropped)) == 1)
     expect("dropped series fails in relative-only mode",
            len(compare(base, dropped, relative_only=True)) == 1)
+    # ...and so is the reverse: a fresh key the baseline never had.
+    added = dict(base)
+    added["speedup_new_series"] = 1.5
+    expect("fresh key absent from the baseline fails",
+           len(compare(base, added)) == 1)
+    expect("fresh key absent from the baseline fails relative-only",
+           len(compare(base, added, relative_only=True)) == 1)
+    added_meta = dict(base)
+    added_meta["lanes"] = 4
+    expect("fresh metadata key absent from the baseline fails",
+           len(compare(base, added_meta, relative_only=True)) == 1)
     # A differing resolved default backend counts as a capability
     # mismatch even when no *_available flag records the difference
     # (BENCH_he_pipeline carries only avx2_available).

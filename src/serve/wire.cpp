@@ -40,14 +40,15 @@ RaiseDecode(const std::string &message)
                     .WithFrame("serve::Reader"));
 }
 
-}  // namespace
-
+/** True for the type values the enum actually names. */
 bool
 IsKnownFrameType(u8 type)
 {
     return type >= static_cast<u8>(FrameType::kCreateSession) &&
            type <= static_cast<u8>(FrameType::kStatsReply);
 }
+
+}  // namespace
 
 const char *
 FrameTypeName(FrameType type)
@@ -662,48 +663,65 @@ EncodeFrame(const Frame &frame)
     return out;
 }
 
-Result<Frame>
-DecodeFrameFromBuffer(std::span<const u8> data, std::size_t &consumed)
+namespace {
+
+inline constexpr std::size_t kFrameHeaderBytes = 6;
+
+/** Validate a frame header ([u32 len][u8 version][u8 type]) — the one
+ *  check both frame readers share — and return its payload length.
+ *  kInvalidArgument on an oversized payload, an unsupported version
+ *  or an unknown type, so neither reader allocates for a bad frame. */
+Result<std::size_t>
+CheckFrameHeader(std::span<const u8> header)
 {
-    consumed = 0;
-    if (data.size() < 6) {
-        return Status(ErrorCode::kUnavailable, "frame header in flight");
-    }
     u32 len = 0;
     for (int i = 0; i < 4; ++i) {
-        len |= static_cast<u32>(data[i]) << (8 * i);
+        len |= static_cast<u32>(header[i]) << (8 * i);
     }
     if (len > kMaxFramePayload) {
         return Status(ErrorCode::kInvalidArgument,
                       "frame payload of " + std::to_string(len) +
                           " bytes exceeds the " +
-                          std::to_string(kMaxFramePayload) + " cap")
-            .WithFrame("serve::DecodeFrameFromBuffer");
+                          std::to_string(kMaxFramePayload) + " cap");
     }
-    const u8 version = data[4];
-    const u8 type = data[5];
+    const u8 version = header[4];
     if (version < kMinProtocolVersion || version > kProtocolVersion) {
         return Status(ErrorCode::kInvalidArgument,
                       "unsupported protocol version " +
                           std::to_string(version) + " (this build "
                           "speaks " +
                           std::to_string(kMinProtocolVersion) + ".." +
-                          std::to_string(kProtocolVersion) + ")")
-            .WithFrame("serve::DecodeFrameFromBuffer");
+                          std::to_string(kProtocolVersion) + ")");
     }
-    if (!IsKnownFrameType(type)) {
+    if (!IsKnownFrameType(header[5])) {
         return Status(ErrorCode::kInvalidArgument,
-                      "unknown frame type " + std::to_string(type))
-            .WithFrame("serve::DecodeFrameFromBuffer");
+                      "unknown frame type " + std::to_string(header[5]));
     }
-    if (data.size() < 6 + static_cast<std::size_t>(len)) {
+    return static_cast<std::size_t>(len);
+}
+
+}  // namespace
+
+Result<Frame>
+DecodeFrameFromBuffer(std::span<const u8> data, std::size_t &consumed)
+{
+    consumed = 0;
+    if (data.size() < kFrameHeaderBytes) {
+        return Status(ErrorCode::kUnavailable, "frame header in flight");
+    }
+    Result<std::size_t> len = CheckFrameHeader(data);
+    if (!len.ok()) {
+        return len.status().WithFrame("serve::DecodeFrameFromBuffer");
+    }
+    if (data.size() < kFrameHeaderBytes + *len) {
         return Status(ErrorCode::kUnavailable, "frame payload in flight");
     }
     Frame frame;
-    frame.version = version;
-    frame.type = static_cast<FrameType>(type);
-    frame.payload.assign(data.begin() + 6, data.begin() + 6 + len);
-    consumed = 6 + static_cast<std::size_t>(len);
+    frame.version = data[4];
+    frame.type = static_cast<FrameType>(data[5]);
+    frame.payload.assign(data.begin() + kFrameHeaderBytes,
+                         data.begin() + kFrameHeaderBytes + *len);
+    consumed = kFrameHeaderBytes + *len;
     return frame;
 }
 
@@ -779,36 +797,22 @@ WriteFrame(int fd, const Frame &frame)
 Result<Frame>
 ReadFrame(int fd)
 {
-    u8 header[6];
+    u8 header[kFrameHeaderBytes];
     Status status = ReadAll(fd, header);
     if (!status.ok()) {
         return status.WithFrame("serve::ReadFrame");
     }
-    std::size_t consumed = 0;
-    // Validate the header through the buffer decoder (shared caps and
-    // version checks) by treating it as a zero-payload prefix.
-    u32 len = 0;
-    for (int i = 0; i < 4; ++i) {
-        len |= static_cast<u32>(header[i]) << (8 * i);
+    Result<std::size_t> len = CheckFrameHeader(header);
+    if (!len.ok()) {
+        return len.status().WithFrame("serve::ReadFrame");
     }
-    if (len > kMaxFramePayload) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "frame payload of " + std::to_string(len) +
-                          " bytes exceeds the " +
-                          std::to_string(kMaxFramePayload) + " cap")
-            .WithFrame("serve::ReadFrame");
-    }
-    std::vector<u8> buffer(6 + static_cast<std::size_t>(len));
-    std::memcpy(buffer.data(), header, 6);
-    if (len > 0) {
-        status = ReadAll(fd, {buffer.data() + 6, len});
-        if (!status.ok()) {
-            return status.WithFrame("serve::ReadFrame");
-        }
-    }
-    Result<Frame> frame = DecodeFrameFromBuffer(buffer, consumed);
-    if (!frame.ok()) {
-        return frame.status().WithFrame("serve::ReadFrame");
+    Frame frame;
+    frame.version = header[4];
+    frame.type = static_cast<FrameType>(header[5]);
+    frame.payload.resize(*len);
+    status = ReadAll(fd, frame.payload);
+    if (!status.ok()) {
+        return status.WithFrame("serve::ReadFrame");
     }
     return frame;
 }

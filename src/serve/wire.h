@@ -81,9 +81,6 @@ enum class FrameType : u8 {
     kStatsReply = 16,     ///< WireStats
 };
 
-/** True for the type values the enum actually names. */
-bool IsKnownFrameType(u8 type);
-
 /** Display name ("CreateSession", "Error", ...). */
 const char *FrameTypeName(FrameType type);
 

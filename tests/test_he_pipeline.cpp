@@ -7,63 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <new>
 #include <optional>
 
+// The benches' heap-allocation counter (operator new replacement),
+// included once so the zero-allocation claims are tests.
+#include "../bench/harness.h"
 #include "he/ciphertext_batch.h"
 #include "kernels/config_search.h"
 #include "kernels/he_pipeline.h"
-
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement (this test binary
-// only), mirroring test_relin_modswitch.cpp, so the zero-allocation
-// claim for the whole batched op set is machine-checked.
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace hentt::kernels {
 namespace {
@@ -185,12 +137,11 @@ class BatchAllocTest : public ::testing::Test
     {
         op();
         op();
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::AllocCount();
         for (int r = 0; r < reps; ++r) {
             op();
         }
-        return g_alloc_count.load(std::memory_order_relaxed) - before;
+        return bench::AllocCount() - before;
     }
 
     std::shared_ptr<HeContext> ctx_;

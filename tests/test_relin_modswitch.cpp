@@ -9,13 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
 
+// The benches' heap-allocation counter (operator new replacement),
+// included once so the zero-allocation claims are tests.
+#include "../bench/harness.h"
 #include "common/failpoint.h"
 #include "common/modarith.h"
 #include "common/status.h"
@@ -24,55 +25,6 @@
 #include "he/scratch_arena.h"
 #include "ntt/ntt_engine.h"
 #include "poly/rns_poly.h"
-
-// ---------------------------------------------------------------------
-// Allocation counter: global operator new replacement (this test binary
-// only) so the arena's steady-state zero-allocation claim is a test,
-// not a comment. Mirrors bench_rns_batch's counter.
-// ---------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace hentt::he {
 namespace {
@@ -334,11 +286,9 @@ TEST_F(RelinModSwitchTest, SteadyStateRelinModSwitchDoesNotAllocate)
     BatchRelinModSwitch(*ctx_, *rk_, src, dst);
     BatchRelinModSwitch(*ctx_, *rk_, src, dst);
 
-    const long long before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long before = bench::AllocCount();
     BatchRelinModSwitch(*ctx_, *rk_, src, dst);
-    const long long allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - before;
+    const long long allocs = bench::AllocCount() - before;
     EXPECT_EQ(allocs, 0) << "steady-state fused op touched the heap";
 
     // The result is still the real thing, not a stale buffer.
@@ -356,11 +306,9 @@ TEST_F(RelinModSwitchTest, SteadyStateRelinearizeDoesNotAllocate)
     BatchRelinearize(*ctx_, *rk_, src, dst);
     BatchRelinearize(*ctx_, *rk_, src, dst);
 
-    const long long before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long before = bench::AllocCount();
     BatchRelinearize(*ctx_, *rk_, src, dst);
-    const long long allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - before;
+    const long long allocs = bench::AllocCount() - before;
     EXPECT_EQ(allocs, 0) << "steady-state Relinearize touched the heap";
 
     ExpectBitIdentical(out, scheme_->Relinearize(prod, *rk_));

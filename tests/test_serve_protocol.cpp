@@ -17,6 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <thread>
 #include <vector>
 
 #include "pbt.h"
@@ -323,6 +327,94 @@ TEST(ServeProtocol, UnknownFrameTypeRejected)
     Result<Frame> high = DecodeFrameFromBuffer(bytes, consumed);
     ASSERT_FALSE(high.ok());
     EXPECT_EQ(high.status().code(), ErrorCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------- frames over an fd
+
+/** A connected AF_UNIX stream pair, closed on scope exit. */
+class SocketPair
+{
+  public:
+    SocketPair()
+    {
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
+    }
+    ~SocketPair()
+    {
+        CloseWriter();
+        ::close(fds_[1]);
+    }
+    SocketPair(const SocketPair &) = delete;
+    SocketPair &operator=(const SocketPair &) = delete;
+
+    int writer() const { return fds_[0]; }
+    int reader() const { return fds_[1]; }
+    void CloseWriter()
+    {
+        if (fds_[0] >= 0) {
+            ::close(fds_[0]);
+            fds_[0] = -1;
+        }
+    }
+
+  private:
+    int fds_[2] = {-1, -1};
+};
+
+TEST(ServeProtocol, MultiMegabyteFrameCrossesAnFd)
+{
+    // Larger than any socket buffer, so WriteFrame blocks until the
+    // concurrent reader drains it and ReadFrame sees partial reads.
+    SocketPair pair;
+    Frame frame;
+    frame.type = FrameType::kDone;
+    frame.payload.resize(4u << 20);
+    Xoshiro256 rng(7);
+    for (u8 &b : frame.payload) {
+        b = static_cast<u8>(rng.Next());
+    }
+    Status sent;
+    std::thread writer([&] { sent = WriteFrame(pair.writer(), frame); });
+    Result<Frame> got = ReadFrame(pair.reader());
+    writer.join();
+    ASSERT_TRUE(sent.ok()) << sent.ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->type, frame.type);
+    EXPECT_EQ(got->version, frame.version);
+    EXPECT_TRUE(got->payload == frame.payload);
+}
+
+TEST(ServeProtocol, ZeroLengthFrameCrossesAnFd)
+{
+    SocketPair pair;
+    Frame frame;
+    frame.type = FrameType::kPing;
+    ASSERT_TRUE(WriteFrame(pair.writer(), frame).ok());
+    Result<Frame> got = ReadFrame(pair.reader());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->type, FrameType::kPing);
+    EXPECT_TRUE(got->payload.empty());
+}
+
+TEST(ServeProtocol, OverCapLengthRejectedFromTheHeaderAlone)
+{
+    // Only the 6 header bytes arrive, then the peer closes. A reader
+    // that sized and read a payload first would report the close
+    // (kUnavailable); the header check must answer kInvalidArgument.
+    SocketPair pair;
+    const u32 len = static_cast<u32>(kMaxFramePayload) + 1;
+    const u8 header[6] = {static_cast<u8>(len),
+                          static_cast<u8>(len >> 8),
+                          static_cast<u8>(len >> 16),
+                          static_cast<u8>(len >> 24),
+                          static_cast<u8>(kProtocolVersion),
+                          static_cast<u8>(FrameType::kPing)};
+    ASSERT_TRUE(WriteAll(pair.writer(), header).ok());
+    pair.CloseWriter();
+    Result<Frame> got = ReadFrame(pair.reader());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::kInvalidArgument)
+        << got.status().ToString();
 }
 
 // ------------------------------------------------------ adversarial bytes
