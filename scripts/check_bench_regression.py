@@ -14,8 +14,10 @@ Contract (documented in docs/BENCHMARKS.md):
   baseline; cross-machine runs (CI) pass ``--relative-only`` so only
   the machine-relative speedup series and the allocation invariant are
   gated.
-- ``steady_state_allocs`` must not grow at all: new steady-state heap
-  allocations are a correctness-of-architecture regression, not noise.
+- Every key ending in ``steady_state_allocs`` (``steady_state_allocs``
+  itself, ``relin_ms_steady_state_allocs``, ...) must not grow at all:
+  new steady-state heap allocations are a correctness-of-architecture
+  regression, not noise.
 - Setting the environment variable ``HENTT_SKIP_BENCH_GATE`` (any
   non-empty value) skips the gate with a notice — the escape hatch for
   known-slow or heavily shared runners (CI wires a PR label to it).
@@ -43,7 +45,7 @@ DEFAULT_THRESHOLD = 0.25
 
 def classify(key):
     """Return 'time', 'speedup', 'allocs', or None (ungated)."""
-    if key == "steady_state_allocs":
+    if key.endswith("steady_state_allocs"):
         return "allocs"
     if key.startswith("speedup_"):
         return "speedup"
@@ -409,6 +411,13 @@ def self_test():
     del serve_dropped["speedup_batched_vs_unbatched"]
     expect("serve: dropped speedup series fails relative-only",
            len(compare(serve, serve_dropped, relative_only=True)) == 1)
+    # BENCH_he_pipeline.json names its allocation count after the arm
+    # it counts; the suffix, not the exact key, makes it an invariant.
+    pipeline = {"bench": "he_pipeline", "relin_ms_steady_state_allocs": 0}
+    pipeline_alloc = dict(pipeline)
+    pipeline_alloc["relin_ms_steady_state_allocs"] = 1
+    expect("he_pipeline: a prefixed steady-state alloc count fails",
+           len(compare(pipeline, pipeline_alloc, relative_only=True)) == 1)
     serve_counters = dict(serve)
     serve_counters["coalesced_requests_64"] = 448
     serve_counters["max_batch_observed_64"] = 56

@@ -139,16 +139,10 @@ Client::SubmitGraph(const std::vector<he::Ciphertext> &inputs,
                     const std::vector<WireProgram::Op> &ops,
                     const std::vector<u32> &outputs)
 {
-    WireProgram program;
-    program.inputs.reserve(inputs.size());
-    for (const he::Ciphertext &ct : inputs) {
-        program.inputs.push_back(ToWire(ct));
-    }
-    program.ops = ops;
-    program.outputs = outputs;
-    Result<Frame> reply =
-        RoundTrip(FrameType::kSubmitGraph, EncodeProgram(program),
-                  "Client::SubmitGraph", FrameType::kSubmitted);
+    Result<Frame> reply = RoundTrip(FrameType::kSubmitGraph,
+                                    EncodeProgram(inputs, ops, outputs),
+                                    "Client::SubmitGraph",
+                                    FrameType::kSubmitted);
     if (!reply.ok()) {
         return reply.status();
     }
@@ -178,20 +172,13 @@ Client::Poll(u64 request_id)
                       "local context")
             .WithFrame("Client::Poll");
     }
-    Result<std::vector<WireCiphertext>> wcts =
-        DecodeCiphertextList(reply->payload);
-    if (!wcts.ok()) {
-        return wcts.status().WithFrame("Client::Poll");
+    Result<std::vector<he::Ciphertext>> outputs =
+        DecodeCiphertextList(*ctx_, reply->payload);
+    if (!outputs.ok()) {
+        return outputs.status().WithFrame("Client::Poll");
     }
     outcome.done = true;
-    outcome.outputs.reserve(wcts->size());
-    for (const WireCiphertext &wct : *wcts) {
-        Result<he::Ciphertext> ct = CiphertextFromWire(*ctx_, wct);
-        if (!ct.ok()) {
-            return ct.status().WithFrame("Client::Poll");
-        }
-        outcome.outputs.push_back(std::move(*ct));
-    }
+    outcome.outputs = std::move(*outputs);
     return outcome;
 }
 

@@ -323,10 +323,17 @@ Coalescer::Admit(std::vector<Batch> &batches,
     for (Request &request : arrivals) {
         const std::shared_ptr<const he::HeEngineState> &state =
             request.session->ctx->engine_state();
+        std::size_t input_bytes = 0;
+        for (const he::Ciphertext &ct : request.inputs) {
+            for (const RnsPoly &part : ct.parts) {
+                input_bytes += part.flat().size_bytes();
+            }
+        }
         auto batch = std::find_if(
             batches.begin(), batches.end(), [&](const Batch &open) {
                 return !open.started && open.state == state.get() &&
-                       open.requests.size() < config_.max_batch;
+                       open.requests.size() < config_.max_batch &&
+                       open.input_bytes + input_bytes <= kBatchInputBytes;
             });
         if (batch == batches.end()) {
             // The evaluation context borrows the worker arena; building
@@ -340,6 +347,7 @@ Coalescer::Admit(std::vector<Batch> &batches,
             batch = std::prev(batches.end());
             ++created;
         }
+        batch->input_bytes += input_bytes;
         he::HeOpGraph &graph = *batch->graph;
 
         // Enqueue the request's program; slot k maps to slots[k]. Ops

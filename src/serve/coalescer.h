@@ -15,8 +15,9 @@
  *
  *   - a lone request starts as soon as the worker is free;
  *   - a batch stays open to later arrivals over its engine state (up
- *     to max_batch requests) until its first wavefront runs, so under
- *     load the requests queued behind a running batch share one graph;
+ *     to max_batch requests and kBatchInputBytes of input ciphertexts)
+ *     until its first wavefront runs, so under load the requests
+ *     queued behind a running batch share one graph;
  *   - a small request arriving mid-graph waits for at most the one
  *     wavefront in progress, not the whole graph.
  *
@@ -60,6 +61,20 @@ struct BatchConfig {
      *  ablation (bench_serve's comparison baseline). */
     std::size_t max_batch = 64;
 };
+
+/**
+ * Input ciphertext bytes an open batch may hold: a request that would
+ * take it past this starts or joins another batch (a batch always
+ * admits its first request). The reason is cache, not fairness: a Mul
+ * wavefront touches about 2.75x its input bytes (the inputs,
+ * BatchMul's arena copies and the 3-part outputs), so 256 KiB of input
+ * keeps it near 0.7 MB of a 2 MB L2. Rings where one request alone
+ * passes the budget (N=4096 x 8 limbs: 1 MiB in; N=65536 x 4 limbs:
+ * 8 MiB in) run one request per batch, where four requests in one
+ * graph measured 4.2-4.7x one request's time, no gain. A constant, not
+ * a BatchConfig field: max_batch stays the one knob.
+ */
+inline constexpr std::size_t kBatchInputBytes = 256u << 10;
 
 /** Outcome of polling a request. */
 struct PollResult {
@@ -159,6 +174,7 @@ class Coalescer
         std::vector<std::vector<he::CtFuture>> slots;
         std::vector<Status> build_errors;  ///< per request
         std::size_t pending = 0;           ///< wavefronts left
+        std::size_t input_bytes = 0;  ///< of all admitted inputs
         /** Whether a wavefront has run; a started batch admits no
          *  more requests. */
         bool started = false;
@@ -179,9 +195,11 @@ class Coalescer
     PollResult TakeLocked(u64 request_id, u64 session_id,
                           const char *frame) HENTT_REQUIRES(mutex_);
 
-    /** Add @p arrivals to @p batches: each joins the open batch over
-     *  its engine state, or starts a new one. Builds graph nodes, so it
-     *  runs with no serve lock held. Returns the batches created. */
+    /** Add @p arrivals to @p batches: each joins the first open batch
+     *  over its engine state with room for it (max_batch requests,
+     *  kBatchInputBytes of inputs), or starts a new one. Builds graph
+     *  nodes, so it runs with no serve lock held. Returns the batches
+     *  created. */
     std::size_t Admit(std::vector<Batch> &batches,
                       std::vector<Request> &arrivals);
 

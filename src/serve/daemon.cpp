@@ -381,24 +381,14 @@ Daemon::HandleFrame(ConnState &conn, const Frame &request,
                            "SubmitGraph before CreateSession")
                         .WithFrame("Daemon::SubmitGraph"));
             }
-            Result<WireProgram> program =
-                DecodeProgram(request.payload);
+            Result<DecodedProgram> program =
+                DecodeProgram(*conn.session->ctx, request.payload);
             if (!program.ok()) {
-                return ErrorFrame(program.status());
-            }
-            std::vector<he::Ciphertext> inputs;
-            inputs.reserve(program->inputs.size());
-            for (const WireCiphertext &wct : program->inputs) {
-                Result<he::Ciphertext> ct =
-                    CiphertextFromWire(*conn.session->ctx, wct);
-                if (!ct.ok()) {
-                    return ErrorFrame(ct.status().WithFrame(
-                        "Daemon::SubmitGraph"));
-                }
-                inputs.push_back(std::move(*ct));
+                return ErrorFrame(
+                    program.status().WithFrame("Daemon::SubmitGraph"));
             }
             Result<u64> id = coalescer_.Submit(
-                conn.session, std::move(inputs),
+                conn.session, std::move(program->inputs),
                 std::move(program->ops),
                 std::move(program->outputs));
             if (!id.ok()) {
@@ -429,13 +419,8 @@ Daemon::HandleFrame(ConnState &conn, const Frame &request,
             if (!result.status.ok()) {
                 return ErrorFrame(result.status);
             }
-            std::vector<WireCiphertext> wcts;
-            wcts.reserve(result.outputs.size());
-            for (const he::Ciphertext &ct : result.outputs) {
-                wcts.push_back(ToWire(ct));
-            }
             return MakeFrame(FrameType::kDone,
-                             EncodeCiphertextList(wcts));
+                             EncodeCiphertextList(result.outputs));
           }
 
           case FrameType::kCloseSession: {

@@ -1,9 +1,10 @@
-/** @file Wire ↔ HE conversions (see serde.h). */
+/** @file The direct codec and Wire ↔ HE conversions (see serde.h). */
 
 #include "serve/serde.h"
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "he/batch_access.h"
 
@@ -17,7 +18,224 @@ Invalid(const std::string &message, const char *where)
     return Status(ErrorCode::kInvalidArgument, message).WithFrame(where);
 }
 
+/** Throw kInvalidArgument; DecodeGuard frames and returns it. */
+[[noreturn]] void
+Reject(const std::string &message)
+{
+    ThrowStatus(Status(ErrorCode::kInvalidArgument, message));
+}
+
+PolyHeader
+HeaderOf(const RnsPoly &poly)
+{
+    return {poly.degree(), static_cast<u32>(poly.prime_count()),
+            poly.domain() == RnsPoly::Domain::kEvaluation ? u8{1} : u8{0},
+            poly.lazy() ? u8{1} : u8{0}, poly.flat().size()};
+}
+
+PolyHeader
+HeaderOf(const WirePoly &wp)
+{
+    return {wp.degree, wp.prime_count, wp.domain, wp.lazy,
+            wp.words.size()};
+}
+
+/**
+ * Materialise one polynomial of @p header at the level of @p ctx its
+ * prime count selects: check its shape against the session, let
+ * @p fill write the rows, then check every residue against its prime's
+ * range ([0, p), or [0, 4p) for lazy evaluation rows) and tag the
+ * domain. Throws kInvalidArgument.
+ */
+template <typename Fill>
+RnsPoly
+MakePoly(const he::HeContext &ctx, const PolyHeader &header, Fill &&fill)
+{
+    if (header.degree != ctx.degree()) {
+        Reject("poly degree " + std::to_string(header.degree) +
+               " does not match the session's " +
+               std::to_string(ctx.degree()));
+    }
+    if (header.prime_count == 0 ||
+        header.prime_count > ctx.params().prime_count) {
+        Reject("poly prime count " + std::to_string(header.prime_count) +
+               " outside the session's chain [1, " +
+               std::to_string(ctx.params().prime_count) + "]");
+    }
+    if (header.lazy != 0 && header.domain != 1) {
+        Reject("lazy flag on a coefficient-domain poly");
+    }
+    std::shared_ptr<const RnsNttContext> level =
+        ctx.level_context(header.prime_count);
+    const std::size_t degree = level->degree();
+    if (header.words != degree * header.prime_count) {
+        Reject("poly word count " + std::to_string(header.words) +
+               " does not match shape");
+    }
+    RnsPoly poly(level);
+    fill(poly.flat());
+    // Residues outside the range the kernels assume would silently
+    // corrupt modular arithmetic downstream.
+    const RnsBasis &basis = level->basis();
+    for (std::size_t l = 0; l < header.prime_count; ++l) {
+        const u64 p = basis.prime(l);
+        const u64 bound = header.lazy != 0 ? 4 * p : p;
+        const std::span<const u64> row = std::as_const(poly).row(l);
+        for (std::size_t i = 0; i < degree; ++i) {
+            if (row[i] >= bound) {
+                Reject("residue " + std::to_string(row[i]) +
+                       " at limb " + std::to_string(l) + ", coeff " +
+                       std::to_string(i) + " is outside [0, " +
+                       std::to_string(bound) + ")");
+            }
+        }
+    }
+    if (header.domain == 1) {
+        he::detail::RnsPolyBatchAccess::MarkEvaluation(poly,
+                                                       header.lazy != 0);
+    }
+    return poly;
+}
+
+/** The ciphertext rules on top of the poly ones: 2 or 3 parts (degree
+ *  1 or 2), all at the level of the first. */
+void
+CheckPartCount(std::size_t parts)
+{
+    if (parts < 2 || parts > 3) {
+        Reject("ciphertext with " + std::to_string(parts) +
+               " parts (expected 2 or 3)");
+    }
+}
+
+void
+CheckSameLevel(u32 first_prime_count, u32 prime_count)
+{
+    if (prime_count != first_prime_count) {
+        Reject("ciphertext parts at different levels");
+    }
+}
+
+RnsPoly
+MakePoly(const he::HeContext &ctx, const WirePoly &wp)
+{
+    return MakePoly(ctx, HeaderOf(wp), [&](std::span<u64> rows) {
+        std::copy(wp.words.begin(), wp.words.end(), rows.begin());
+    });
+}
+
+std::size_t
+CiphertextBytes(const he::Ciphertext &ct)
+{
+    std::size_t bytes = 4;
+    for (const RnsPoly &part : ct.parts) {
+        bytes += PolyBytes(part.flat().size());
+    }
+    return bytes;
+}
+
+void
+PutCiphertext(Writer &w, const he::Ciphertext &ct)
+{
+    w.U32(static_cast<u32>(ct.parts.size()));
+    for (const RnsPoly &part : ct.parts) {
+        PutPolyHeader(w, HeaderOf(part));
+        w.Words(part.flat());
+    }
+}
+
+he::Ciphertext
+GetCiphertext(Reader &r, const he::HeContext &ctx)
+{
+    const u32 parts = GetPartCount(r);
+    CheckPartCount(parts);
+    he::Ciphertext ct;
+    ct.parts.reserve(parts);
+    u32 first_prime_count = 0;
+    for (u32 i = 0; i < parts; ++i) {
+        const PolyHeader header = GetPolyHeader(r);
+        if (i == 0) {
+            first_prime_count = header.prime_count;
+        }
+        CheckSameLevel(first_prime_count, header.prime_count);
+        ct.parts.push_back(MakePoly(
+            ctx, header, [&](std::span<u64> rows) { r.Words(rows); }));
+    }
+    return ct;
+}
+
 }  // namespace
+
+std::vector<u8>
+EncodeProgram(const std::vector<he::Ciphertext> &inputs,
+              const std::vector<WireProgram::Op> &ops,
+              const std::vector<u32> &outputs)
+{
+    std::size_t bytes = 4 + ProgramTailBytes(ops.size(), outputs.size());
+    for (const he::Ciphertext &ct : inputs) {
+        bytes += CiphertextBytes(ct);
+    }
+    std::vector<u8> out;
+    out.reserve(bytes);
+    Writer w(out);
+    w.U32(static_cast<u32>(inputs.size()));
+    for (const he::Ciphertext &ct : inputs) {
+        PutCiphertext(w, ct);
+    }
+    PutProgramTail(w, ops, outputs);
+    return out;
+}
+
+Result<DecodedProgram>
+DecodeProgram(const he::HeContext &ctx, std::span<const u8> payload)
+{
+    return DecodeGuard<DecodedProgram>("serve::DecodeProgram", [&] {
+        Reader r(payload);
+        DecodedProgram program;
+        const u32 input_count = GetCiphertextCount(r, "program input");
+        program.inputs.reserve(input_count);
+        for (u32 i = 0; i < input_count; ++i) {
+            program.inputs.push_back(GetCiphertext(r, ctx));
+        }
+        GetProgramTail(r, input_count, program.ops, program.outputs);
+        r.ExpectEnd();
+        return program;
+    });
+}
+
+std::vector<u8>
+EncodeCiphertextList(const std::vector<he::Ciphertext> &cts)
+{
+    std::size_t bytes = 4;
+    for (const he::Ciphertext &ct : cts) {
+        bytes += CiphertextBytes(ct);
+    }
+    std::vector<u8> out;
+    out.reserve(bytes);
+    Writer w(out);
+    w.U32(static_cast<u32>(cts.size()));
+    for (const he::Ciphertext &ct : cts) {
+        PutCiphertext(w, ct);
+    }
+    return out;
+}
+
+Result<std::vector<he::Ciphertext>>
+DecodeCiphertextList(const he::HeContext &ctx, std::span<const u8> payload)
+{
+    return DecodeGuard<std::vector<he::Ciphertext>>(
+        "serve::DecodeCiphertextList", [&] {
+            Reader r(payload);
+            const u32 count = GetCiphertextCount(r, "ciphertext list");
+            std::vector<he::Ciphertext> cts;
+            cts.reserve(count);
+            for (u32 i = 0; i < count; ++i) {
+                cts.push_back(GetCiphertext(r, ctx));
+            }
+            r.ExpectEnd();
+            return cts;
+        });
+}
 
 WireParams
 ToWire(const he::HeParams &params)
@@ -55,75 +273,17 @@ ParamsFromWire(const WireParams &wp)
 WirePoly
 ToWire(const RnsPoly &poly)
 {
-    WirePoly wp;
-    wp.degree = poly.degree();
-    wp.prime_count = static_cast<u32>(poly.prime_count());
-    wp.domain =
-        poly.domain() == RnsPoly::Domain::kEvaluation ? u8{1} : u8{0};
-    wp.lazy = poly.lazy() ? u8{1} : u8{0};
+    const PolyHeader header = HeaderOf(poly);
     const std::span<const u64> flat = poly.flat();
-    wp.words.assign(flat.begin(), flat.end());
-    return wp;
+    return {header.degree, header.prime_count, header.domain, header.lazy,
+            std::vector<u64>(flat.begin(), flat.end())};
 }
 
 Result<RnsPoly>
 PolyFromWire(const he::HeContext &ctx, const WirePoly &wp)
 {
-    if (wp.degree != ctx.degree()) {
-        return Invalid("poly degree " + std::to_string(wp.degree) +
-                           " does not match the session's " +
-                           std::to_string(ctx.degree()),
-                       "serve::PolyFromWire");
-    }
-    if (wp.prime_count == 0 ||
-        wp.prime_count > ctx.params().prime_count) {
-        return Invalid("poly prime count " +
-                           std::to_string(wp.prime_count) +
-                           " outside the session's chain [1, " +
-                           std::to_string(ctx.params().prime_count) +
-                           "]",
-                       "serve::PolyFromWire");
-    }
-    if (wp.lazy != 0 && wp.domain != 1) {
-        return Invalid("lazy flag on a coefficient-domain poly",
-                       "serve::PolyFromWire");
-    }
-    std::shared_ptr<const RnsNttContext> level =
-        ctx.level_context(wp.prime_count);
-    const std::size_t degree = level->degree();
-    if (wp.words.size() !=
-        degree * static_cast<std::size_t>(wp.prime_count)) {
-        return Invalid("poly word count " +
-                           std::to_string(wp.words.size()) +
-                           " does not match shape",
-                       "serve::PolyFromWire");
-    }
-    // Residues must live in the range the kernels assume: [0, p) for
-    // fully reduced rows, [0, 4p) for lazy evaluation rows. Anything
-    // else would silently corrupt modular arithmetic downstream.
-    const RnsBasis &basis = level->basis();
-    for (std::size_t l = 0; l < wp.prime_count; ++l) {
-        const u64 p = basis.prime(l);
-        const u64 bound = wp.lazy != 0 ? 4 * p : p;
-        const u64 *row = wp.words.data() + l * degree;
-        for (std::size_t i = 0; i < degree; ++i) {
-            if (row[i] >= bound) {
-                return Invalid(
-                    "residue " + std::to_string(row[i]) + " at limb " +
-                        std::to_string(l) + ", coeff " +
-                        std::to_string(i) + " is outside [0, " +
-                        std::to_string(bound) + ")",
-                    "serve::PolyFromWire");
-            }
-        }
-    }
-    RnsPoly poly(level);
-    std::copy(wp.words.begin(), wp.words.end(), poly.flat().begin());
-    if (wp.domain == 1) {
-        he::detail::RnsPolyBatchAccess::MarkEvaluation(poly,
-                                                       wp.lazy != 0);
-    }
-    return poly;
+    return DecodeGuard<RnsPoly>("serve::PolyFromWire",
+                                [&] { return MakePoly(ctx, wp); });
 }
 
 WireCiphertext
@@ -140,27 +300,16 @@ ToWire(const he::Ciphertext &ct)
 Result<he::Ciphertext>
 CiphertextFromWire(const he::HeContext &ctx, const WireCiphertext &wct)
 {
-    if (wct.parts.size() < 2 || wct.parts.size() > 3) {
-        return Invalid("ciphertext with " +
-                           std::to_string(wct.parts.size()) +
-                           " parts (expected 2 or 3)",
-                       "serve::CiphertextFromWire");
-    }
-    he::Ciphertext ct;
-    ct.parts.reserve(wct.parts.size());
-    for (const WirePoly &wp : wct.parts) {
-        if (wp.prime_count != wct.parts[0].prime_count) {
-            return Invalid("ciphertext parts at different levels",
-                           "serve::CiphertextFromWire");
+    return DecodeGuard<he::Ciphertext>("serve::CiphertextFromWire", [&] {
+        CheckPartCount(wct.parts.size());
+        he::Ciphertext ct;
+        ct.parts.reserve(wct.parts.size());
+        for (const WirePoly &wp : wct.parts) {
+            CheckSameLevel(wct.parts[0].prime_count, wp.prime_count);
+            ct.parts.push_back(MakePoly(ctx, wp));
         }
-        Result<RnsPoly> part = PolyFromWire(ctx, wp);
-        if (!part.ok()) {
-            return part.status().WithFrame(
-                "serve::CiphertextFromWire");
-        }
-        ct.parts.push_back(std::move(*part));
-    }
-    return ct;
+        return ct;
+    });
 }
 
 WireRelinKey

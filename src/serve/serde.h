@@ -1,14 +1,22 @@
 /**
  * @file
- * Wire ↔ HE-type conversion for the serving layer.
+ * HE types on the wire, validated against a session context.
  *
- * wire.h decodes bytes into self-contained Wire* structs; this layer
- * validates them against a session's HeContext and materialises real
- * RnsPoly/Ciphertext/RelinKey values (and back). Validation failures —
- * shape mismatch against the session parameters, residues outside a
- * prime's range, a key with the wrong level structure — come back as
- * kInvalidArgument Status, so a hostile or buggy client can never push
- * an out-of-contract value into the kernels.
+ * Two codecs live here, both writing the bytes serve/wire.h specifies:
+ *
+ *   - the direct codec, which the request path uses: a kSubmitGraph
+ *     payload is encoded straight from ciphertext rows and decoded
+ *     straight into RnsPoly rows of the session's level contexts, and
+ *     the kDone reply likewise, each row one memcpy;
+ *   - Wire* ↔ HE conversions, for parameters and relinearization keys
+ *     (set-up frames) and for the Wire* ciphertext oracle that
+ *     test_serve_protocol and the e2e benchmark's replay use.
+ *
+ * Both make the same checks through one set of helpers. Validation
+ * failures — shape mismatch against the session parameters, residues
+ * outside a prime's range, a key with the wrong level structure — come
+ * back as kInvalidArgument Status, so a hostile or buggy client can
+ * never push an out-of-contract value into the kernels.
  *
  * Deserialized evaluation-domain polynomials (relin keys travel in the
  * evaluation domain, matching keygen) are relabeled through the
@@ -19,11 +27,51 @@
 #define HENTT_SERVE_SERDE_H
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "he/bgv.h"
 #include "serve/wire.h"
 
 namespace hentt::serve {
+
+// ---------------------------------------------------------------------
+// The direct codec (see file comment).
+// ---------------------------------------------------------------------
+
+/** kSubmitGraph payload encoded from @p inputs' rows: the bytes
+ *  EncodeProgram(WireProgram) writes for the ToWire of each input. */
+std::vector<u8> EncodeProgram(const std::vector<he::Ciphertext> &inputs,
+                              const std::vector<WireProgram::Op> &ops,
+                              const std::vector<u32> &outputs);
+
+/** A kSubmitGraph payload decoded against a session context. */
+struct DecodedProgram {
+    std::vector<he::Ciphertext> inputs;
+    std::vector<WireProgram::Op> ops;
+    std::vector<u32> outputs;
+};
+
+/**
+ * kSubmitGraph payload decoded straight into RnsPoly rows of @p ctx's
+ * level contexts, with every check DecodeProgram(WireProgram) and
+ * CiphertextFromWire make. kInvalidArgument on any failure.
+ */
+[[nodiscard]] Result<DecodedProgram>
+DecodeProgram(const he::HeContext &ctx, std::span<const u8> payload);
+
+/** kDone payload encoded from @p cts' rows. */
+std::vector<u8>
+EncodeCiphertextList(const std::vector<he::Ciphertext> &cts);
+
+/** kDone payload decoded straight into RnsPoly rows of @p ctx. */
+[[nodiscard]] Result<std::vector<he::Ciphertext>>
+DecodeCiphertextList(const he::HeContext &ctx,
+                     std::span<const u8> payload);
+
+// ---------------------------------------------------------------------
+// Wire* ↔ HE conversions.
+// ---------------------------------------------------------------------
 
 /** HeParams → wire form (noise_stddev by bit pattern). */
 WireParams ToWire(const he::HeParams &params);

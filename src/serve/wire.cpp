@@ -3,42 +3,17 @@
 #include "serve/wire.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace hentt::serve {
 
 namespace {
-
-/** Wrap a throwing decode body into a Result with one catch site. */
-template <typename T, typename Fn>
-Result<T>
-DecodeGuard(const char *what, Fn &&body)
-{
-    try {
-        return body();
-    } catch (...) {
-        Status status = CurrentExceptionToStatus().WithFrame(what);
-        if (status.code() != ErrorCode::kInvalidArgument) {
-            // The decode contract: malformed bytes are always
-            // kInvalidArgument, whatever the inner throw was.
-            status = Status(ErrorCode::kInvalidArgument,
-                            status.ToString())
-                         .WithFrame(what);
-        }
-        return status;
-    }
-}
-
-[[noreturn]] void
-RaiseDecode(const std::string &message)
-{
-    ThrowStatus(Status(ErrorCode::kInvalidArgument, message)
-                    .WithFrame("serve::Reader"));
-}
 
 /** True for the type values the enum actually names. */
 bool
@@ -49,6 +24,13 @@ IsKnownFrameType(u8 type)
 }
 
 }  // namespace
+
+void
+RaiseDecode(const std::string &message)
+{
+    ThrowStatus(Status(ErrorCode::kInvalidArgument, message)
+                    .WithFrame("serve::Reader"));
+}
 
 const char *
 FrameTypeName(FrameType type)
@@ -120,10 +102,9 @@ Writer::Str(const std::string &s)
 void
 Writer::Words(std::span<const u64> words)
 {
-    U64(words.size());
-    for (const u64 w : words) {
-        U64(w);
-    }
+    // Byte view of the rows (the header asserts a little-endian host).
+    const u8 *bytes = reinterpret_cast<const u8 *>(words.data());
+    out_.insert(out_.end(), bytes, bytes + words.size_bytes());
 }
 
 void
@@ -182,20 +163,14 @@ Reader::Str(std::size_t max_bytes)
     return s;
 }
 
-std::vector<u64>
-Reader::Words(std::size_t max_words)
+void
+Reader::Words(std::span<u64> out)
 {
-    const u64 count = U64();
-    if (count > max_words) {
-        RaiseDecode("word count " + std::to_string(count) +
-                    " exceeds cap " + std::to_string(max_words));
+    Need(out.size_bytes());
+    if (!out.empty()) {
+        std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());
     }
-    Need(static_cast<std::size_t>(count) * 8);
-    std::vector<u64> words(static_cast<std::size_t>(count));
-    for (u64 &w : words) {
-        w = U64();
-    }
-    return words;
+    pos_ += out.size_bytes();
 }
 
 void
@@ -211,6 +186,132 @@ Reader::ExpectEnd() const
 // ---------------------------------------------------------------------
 // Message codecs.
 // ---------------------------------------------------------------------
+
+void
+PutPolyHeader(Writer &w, const PolyHeader &header)
+{
+    w.U64(header.degree);
+    w.U32(header.prime_count);
+    w.U8(header.domain);
+    w.U8(header.lazy);
+    w.U64(header.words);
+}
+
+PolyHeader
+GetPolyHeader(Reader &r)
+{
+    PolyHeader header;
+    header.degree = r.U64();
+    header.prime_count = r.U32();
+    header.domain = r.U8();
+    header.lazy = r.U8();
+    if (header.degree > kMaxDegree ||
+        header.prime_count > kMaxPrimeCount || header.domain > 1 ||
+        header.lazy > 1) {
+        RaiseDecode("poly header out of range: degree " +
+                    std::to_string(header.degree) + ", primes " +
+                    std::to_string(header.prime_count));
+    }
+    header.words = r.U64();
+    // Both factors are capped above, so the product cannot wrap.
+    const u64 expect = header.degree * header.prime_count;
+    if (header.words != expect) {
+        RaiseDecode("poly words " + std::to_string(header.words) +
+                    " do not match shape " + std::to_string(expect));
+    }
+    if (header.words > r.remaining() / sizeof(u64)) {
+        RaiseDecode("truncated payload: poly of " +
+                    std::to_string(header.words) + " words, " +
+                    std::to_string(r.remaining()) + " bytes left");
+    }
+    return header;
+}
+
+u32
+GetPartCount(Reader &r)
+{
+    const u32 count = r.U32();
+    if (count == 0 || count > kMaxCiphertextParts) {
+        RaiseDecode("ciphertext part count " + std::to_string(count) +
+                    " outside [1, " +
+                    std::to_string(kMaxCiphertextParts) + "]");
+    }
+    return count;
+}
+
+u32
+GetCiphertextCount(Reader &r, const char *what)
+{
+    const u32 count = r.U32();
+    if (count > kMaxProgramOps) {
+        RaiseDecode(std::string(what) + " count " +
+                    std::to_string(count) + " exceeds cap");
+    }
+    return count;
+}
+
+void
+PutProgramTail(Writer &w, std::span<const WireProgram::Op> ops,
+               std::span<const u32> outputs)
+{
+    w.U32(static_cast<u32>(ops.size()));
+    for (const WireProgram::Op &op : ops) {
+        w.U8(static_cast<u8>(op.op));
+        w.U32(op.a);
+        w.U32(op.b);
+    }
+    w.U32(static_cast<u32>(outputs.size()));
+    for (const u32 slot : outputs) {
+        w.U32(slot);
+    }
+}
+
+void
+GetProgramTail(Reader &r, u32 input_count,
+               std::vector<WireProgram::Op> &ops, std::vector<u32> &outputs)
+{
+    const u32 op_count = r.U32();
+    if (op_count > kMaxProgramOps) {
+        RaiseDecode("program op count " + std::to_string(op_count) +
+                    " exceeds cap");
+    }
+    ops.reserve(op_count);
+    for (u32 i = 0; i < op_count; ++i) {
+        WireProgram::Op op;
+        const u8 code = r.U8();
+        if (code > static_cast<u8>(WireOp::kRelinModSwitch)) {
+            RaiseDecode("unknown program opcode " + std::to_string(code));
+        }
+        op.op = static_cast<WireOp>(code);
+        op.a = r.U32();
+        op.b = r.U32();
+        const u32 slot_limit = input_count + i;
+        const bool two_operand = op.op == WireOp::kAdd ||
+                                 op.op == WireOp::kSub ||
+                                 op.op == WireOp::kMul;
+        if (op.a >= slot_limit || (two_operand && op.b >= slot_limit)) {
+            RaiseDecode("program op " + std::to_string(i) +
+                        " references a slot >= " +
+                        std::to_string(slot_limit));
+        }
+        ops.push_back(op);
+    }
+    const u32 output_count = r.U32();
+    if (output_count > kMaxProgramOps) {
+        RaiseDecode("program output count " +
+                    std::to_string(output_count) + " exceeds cap");
+    }
+    outputs.reserve(output_count);
+    const u32 slot_limit = input_count + op_count;
+    for (u32 i = 0; i < output_count; ++i) {
+        const u32 slot = r.U32();
+        if (slot >= slot_limit) {
+            RaiseDecode("program output slot " + std::to_string(slot) +
+                        " >= " + std::to_string(slot_limit));
+        }
+        outputs.push_back(slot);
+    }
+}
 
 namespace {
 
@@ -244,35 +345,29 @@ GetParams(Reader &r)
 void
 PutPoly(Writer &w, const WirePoly &poly)
 {
-    w.U64(poly.degree);
-    w.U32(poly.prime_count);
-    w.U8(poly.domain);
-    w.U8(poly.lazy);
+    PutPolyHeader(w, {poly.degree, poly.prime_count, poly.domain,
+                      poly.lazy, poly.words.size()});
     w.Words(poly.words);
 }
 
 WirePoly
 GetPoly(Reader &r)
 {
-    WirePoly poly;
-    poly.degree = r.U64();
-    poly.prime_count = r.U32();
-    poly.domain = r.U8();
-    poly.lazy = r.U8();
-    if (poly.degree > kMaxDegree || poly.prime_count > kMaxPrimeCount ||
-        poly.domain > 1 || poly.lazy > 1) {
-        RaiseDecode("poly header out of range: degree " +
-                    std::to_string(poly.degree) + ", primes " +
-                    std::to_string(poly.prime_count));
-    }
-    const std::size_t expect =
-        static_cast<std::size_t>(poly.degree) * poly.prime_count;
-    poly.words = r.Words(expect);
-    if (poly.words.size() != expect) {
-        RaiseDecode("poly words " + std::to_string(poly.words.size()) +
-                    " do not match shape " + std::to_string(expect));
-    }
+    const PolyHeader header = GetPolyHeader(r);
+    WirePoly poly{header.degree, header.prime_count, header.domain,
+                  header.lazy, std::vector<u64>(header.words)};
+    r.Words(poly.words);
     return poly;
+}
+
+std::size_t
+CiphertextBytes(const WireCiphertext &ct)
+{
+    std::size_t bytes = 4;
+    for (const WirePoly &part : ct.parts) {
+        bytes += PolyBytes(part.words.size());
+    }
+    return bytes;
 }
 
 void
@@ -287,12 +382,7 @@ PutCiphertext(Writer &w, const WireCiphertext &ct)
 WireCiphertext
 GetCiphertext(Reader &r)
 {
-    const u32 count = r.U32();
-    if (count == 0 || count > kMaxCiphertextParts) {
-        RaiseDecode("ciphertext part count " + std::to_string(count) +
-                    " outside [1, " +
-                    std::to_string(kMaxCiphertextParts) + "]");
-    }
+    const u32 count = GetPartCount(r);
     WireCiphertext ct;
     ct.parts.reserve(count);
     for (u32 i = 0; i < count; ++i) {
@@ -327,6 +417,7 @@ std::vector<u8>
 EncodePoly(const WirePoly &poly)
 {
     std::vector<u8> out;
+    out.reserve(PolyBytes(poly.words.size()));
     Writer w(out);
     PutPoly(w, poly);
     return out;
@@ -347,6 +438,7 @@ std::vector<u8>
 EncodeCiphertext(const WireCiphertext &ct)
 {
     std::vector<u8> out;
+    out.reserve(CiphertextBytes(ct));
     Writer w(out);
     PutCiphertext(w, ct);
     return out;
@@ -366,7 +458,17 @@ DecodeCiphertext(std::span<const u8> payload)
 std::vector<u8>
 EncodeRelinKey(const WireRelinKey &rk)
 {
+    std::size_t bytes = 4;
+    for (const WireRelinKey::Level &level : rk.levels) {
+        bytes += 4;
+        for (const std::vector<WirePoly> *polys : {&level.b, &level.a}) {
+            for (const WirePoly &poly : *polys) {
+                bytes += PolyBytes(poly.words.size());
+            }
+        }
+    }
     std::vector<u8> out;
+    out.reserve(bytes);
     Writer w(out);
     w.U32(static_cast<u32>(rk.levels.size()));
     for (const WireRelinKey::Level &level : rk.levels) {
@@ -418,22 +520,19 @@ DecodeRelinKey(std::span<const u8> payload)
 std::vector<u8>
 EncodeProgram(const WireProgram &program)
 {
+    std::size_t bytes = 4 + ProgramTailBytes(program.ops.size(),
+                                             program.outputs.size());
+    for (const WireCiphertext &ct : program.inputs) {
+        bytes += CiphertextBytes(ct);
+    }
     std::vector<u8> out;
+    out.reserve(bytes);
     Writer w(out);
     w.U32(static_cast<u32>(program.inputs.size()));
     for (const WireCiphertext &ct : program.inputs) {
         PutCiphertext(w, ct);
     }
-    w.U32(static_cast<u32>(program.ops.size()));
-    for (const WireProgram::Op &op : program.ops) {
-        w.U8(static_cast<u8>(op.op));
-        w.U32(op.a);
-        w.U32(op.b);
-    }
-    w.U32(static_cast<u32>(program.outputs.size()));
-    for (const u32 slot : program.outputs) {
-        w.U32(slot);
-    }
+    PutProgramTail(w, program.ops, program.outputs);
     return out;
 }
 
@@ -443,62 +542,12 @@ DecodeProgram(std::span<const u8> payload)
     return DecodeGuard<WireProgram>("serve::DecodeProgram", [&] {
         Reader r(payload);
         WireProgram program;
-        const u32 input_count = r.U32();
-        if (input_count > kMaxProgramOps) {
-            RaiseDecode("program input count " +
-                        std::to_string(input_count) + " exceeds cap");
-        }
+        const u32 input_count = GetCiphertextCount(r, "program input");
         program.inputs.reserve(input_count);
         for (u32 i = 0; i < input_count; ++i) {
             program.inputs.push_back(GetCiphertext(r));
         }
-        const u32 op_count = r.U32();
-        if (op_count > kMaxProgramOps) {
-            RaiseDecode("program op count " + std::to_string(op_count) +
-                        " exceeds cap");
-        }
-        program.ops.reserve(op_count);
-        for (u32 i = 0; i < op_count; ++i) {
-            WireProgram::Op op;
-            const u8 code = r.U8();
-            if (code > static_cast<u8>(WireOp::kRelinModSwitch)) {
-                RaiseDecode("unknown program opcode " +
-                            std::to_string(code));
-            }
-            op.op = static_cast<WireOp>(code);
-            op.a = r.U32();
-            op.b = r.U32();
-            // Slots must reference inputs or earlier ops — a DAG by
-            // construction, checked here so the evaluator never sees a
-            // forward edge.
-            const u32 slot_limit = input_count + i;
-            const bool two_operand = op.op == WireOp::kAdd ||
-                                     op.op == WireOp::kSub ||
-                                     op.op == WireOp::kMul;
-            if (op.a >= slot_limit ||
-                (two_operand && op.b >= slot_limit)) {
-                RaiseDecode("program op " + std::to_string(i) +
-                            " references a slot >= " +
-                            std::to_string(slot_limit));
-            }
-            program.ops.push_back(op);
-        }
-        const u32 output_count = r.U32();
-        if (output_count > kMaxProgramOps) {
-            RaiseDecode("program output count " +
-                        std::to_string(output_count) + " exceeds cap");
-        }
-        program.outputs.reserve(output_count);
-        const u32 slot_limit = input_count + op_count;
-        for (u32 i = 0; i < output_count; ++i) {
-            const u32 slot = r.U32();
-            if (slot >= slot_limit) {
-                RaiseDecode("program output slot " +
-                            std::to_string(slot) + " >= " +
-                            std::to_string(slot_limit));
-            }
-            program.outputs.push_back(slot);
-        }
+        GetProgramTail(r, input_count, program.ops, program.outputs);
         r.ExpectEnd();
         return program;
     });
@@ -616,7 +665,12 @@ DecodeU64Payload(std::span<const u8> payload)
 std::vector<u8>
 EncodeCiphertextList(const std::vector<WireCiphertext> &cts)
 {
+    std::size_t bytes = 4;
+    for (const WireCiphertext &ct : cts) {
+        bytes += CiphertextBytes(ct);
+    }
     std::vector<u8> out;
+    out.reserve(bytes);
     Writer w(out);
     w.U32(static_cast<u32>(cts.size()));
     for (const WireCiphertext &ct : cts) {
@@ -631,11 +685,7 @@ DecodeCiphertextList(std::span<const u8> payload)
     return DecodeGuard<std::vector<WireCiphertext>>(
         "serve::DecodeCiphertextList", [&] {
             Reader r(payload);
-            const u32 count = r.U32();
-            if (count > kMaxProgramOps) {
-                RaiseDecode("ciphertext list count " +
-                            std::to_string(count) + " exceeds cap");
-            }
+            const u32 count = GetCiphertextCount(r, "ciphertext list");
             std::vector<WireCiphertext> cts;
             cts.reserve(count);
             for (u32 i = 0; i < count; ++i) {
@@ -650,22 +700,19 @@ DecodeCiphertextList(std::span<const u8> payload)
 // Frame codec.
 // ---------------------------------------------------------------------
 
-std::vector<u8>
-EncodeFrame(const Frame &frame)
-{
-    std::vector<u8> out;
-    out.reserve(6 + frame.payload.size());
-    Writer w(out);
-    w.U32(static_cast<u32>(frame.payload.size()));
-    w.U8(frame.version);
-    w.U8(static_cast<u8>(frame.type));
-    out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-    return out;
-}
-
 namespace {
 
 inline constexpr std::size_t kFrameHeaderBytes = 6;
+
+/** [u32 payload_len][u8 version][u8 type] of @p frame. */
+std::array<u8, kFrameHeaderBytes>
+FrameHeader(const Frame &frame)
+{
+    const u32 len = static_cast<u32>(frame.payload.size());
+    return {static_cast<u8>(len), static_cast<u8>(len >> 8),
+            static_cast<u8>(len >> 16), static_cast<u8>(len >> 24),
+            frame.version, static_cast<u8>(frame.type)};
+}
 
 /** Validate a frame header ([u32 len][u8 version][u8 type]) — the one
  *  check both frame readers share — and return its payload length.
@@ -702,6 +749,17 @@ CheckFrameHeader(std::span<const u8> header)
 
 }  // namespace
 
+std::vector<u8>
+EncodeFrame(const Frame &frame)
+{
+    const std::array<u8, kFrameHeaderBytes> header = FrameHeader(frame);
+    std::vector<u8> out;
+    out.reserve(kFrameHeaderBytes + frame.payload.size());
+    out.insert(out.end(), header.begin(), header.end());
+    out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+    return out;
+}
+
 Result<Frame>
 DecodeFrameFromBuffer(std::span<const u8> data, std::size_t &consumed)
 {
@@ -729,16 +787,25 @@ DecodeFrameFromBuffer(std::span<const u8> data, std::size_t &consumed)
 // Blocking fd I/O.
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** Send every byte @p iov describes (EINTR-safe, consuming @p iov as
+ *  it goes). MSG_NOSIGNAL: a peer that vanished mid-reply must surface
+ *  as an EPIPE Status on this connection, not a process-wide SIGPIPE
+ *  (default action: kill the daemon) — which is why this is sendmsg
+ *  and not writev, which takes no flags. */
 Status
-WriteAll(int fd, std::span<const u8> data)
+SendAll(int fd, std::span<iovec> iov, const char *where)
 {
-    std::size_t off = 0;
-    while (off < data.size()) {
-        // MSG_NOSIGNAL: a peer that vanished mid-reply must surface
-        // as an EPIPE Status on this connection, not a process-wide
-        // SIGPIPE (default action: kill the daemon).
-        const ssize_t n = ::send(fd, data.data() + off,
-                                 data.size() - off, MSG_NOSIGNAL);
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = iov.size();
+    std::size_t left = 0;
+    for (const iovec &part : iov) {
+        left += part.iov_len;
+    }
+    while (left > 0) {
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) {
                 continue;
@@ -746,11 +813,32 @@ WriteAll(int fd, std::span<const u8> data)
             return Status(ErrorCode::kUnavailable,
                           std::string("write failed: ") +
                               std::strerror(errno))
-                .WithFrame("serve::WriteAll");
+                .WithFrame(where);
         }
-        off += static_cast<std::size_t>(n);
+        left -= static_cast<std::size_t>(n);
+        // Skip what was sent: whole iovecs, then into a partial one.
+        std::size_t sent = static_cast<std::size_t>(n);
+        while (sent > 0 && sent >= msg.msg_iov->iov_len) {
+            sent -= msg.msg_iov->iov_len;
+            ++msg.msg_iov;
+            --msg.msg_iovlen;
+        }
+        if (sent > 0) {
+            msg.msg_iov->iov_base =
+                static_cast<u8 *>(msg.msg_iov->iov_base) + sent;
+            msg.msg_iov->iov_len -= sent;
+        }
     }
     return Status::Ok();
+}
+
+}  // namespace
+
+Status
+WriteAll(int fd, std::span<const u8> data)
+{
+    iovec iov{const_cast<u8 *>(data.data()), data.size()};
+    return SendAll(fd, {&iov, 1}, "serve::WriteAll");
 }
 
 Status
@@ -791,7 +879,13 @@ WriteFrame(int fd, const Frame &frame)
                           std::to_string(kMaxFramePayload) + ")")
             .WithFrame("serve::WriteFrame");
     }
-    return WriteAll(fd, EncodeFrame(frame));
+    // Header and payload leave in one call without being copied into
+    // one buffer first.
+    std::array<u8, kFrameHeaderBytes> header = FrameHeader(frame);
+    iovec iov[2] = {
+        {header.data(), header.size()},
+        {const_cast<u8 *>(frame.payload.data()), frame.payload.size()}};
+    return SendAll(fd, iov, "serve::WriteFrame");
 }
 
 Result<Frame>

@@ -11,19 +11,27 @@
  * kError frame carrying the full Status (code, message, provenance
  * chain), never a dropped connection.
  *
- * Layering: this file is the *codec* — pure bytes-to-structs and back,
- * no sockets, no HE context. Message payloads decode into
- * self-contained Wire* structs (plain integers and word vectors), so
- * the codec is property-testable in isolation: any byte string either
- * decodes cleanly or fails with kInvalidArgument, with every read
- * bounds-checked (no over-read, no crash). serve/serde.h converts
- * Wire* structs to real HE types against a context; serve/wire_io.h
- * (below in this header) moves frames over file descriptors.
+ * Layering: this file is the *codec* — pure bytes-to-structs and back
+ * plus blocking frame I/O over file descriptors, no HE context. Every
+ * read is bounds-checked, so any byte string either decodes cleanly or
+ * fails with kInvalidArgument (no over-read, no crash). Two codecs
+ * share its primitives and write the same bytes:
+ *
+ *   - the Wire* structs below (plain integers and word vectors), which
+ *     make the format property-testable in isolation; serve/serde.h
+ *     converts them to real HE types against a context;
+ *   - serve/serde.h's direct codec, which the request path uses: it
+ *     encodes ciphertexts straight from RnsPoly rows and decodes
+ *     straight into them, with no Wire* intermediate.
+ *
+ * Ciphertext words travel as whole little-endian rows (one bounds check
+ * plus memcpy per row), so this build requires a little-endian host.
  */
 
 #ifndef HENTT_SERVE_WIRE_H
 #define HENTT_SERVE_WIRE_H
 
+#include <bit>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -33,6 +41,9 @@
 #include "common/status.h"
 
 namespace hentt::serve {
+
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies u64 rows as little-endian bytes");
 
 // ---------------------------------------------------------------------
 // Protocol constants.
@@ -181,7 +192,8 @@ struct WireStats {
 
 /**
  * Little-endian appender for payload construction. Append-only; the
- * buffer is the caller's (so one reply reuses one allocation).
+ * buffer is the caller's (so one reply reuses one allocation, and an
+ * encoder that reserves the exact size never reallocates).
  */
 class Writer
 {
@@ -191,8 +203,8 @@ class Writer
     void U8(u8 v) { out_.push_back(v); }
     void U32(u32 v);
     void U64(u64 v);
-    void Str(const std::string &s);         ///< u32 length + bytes
-    void Words(std::span<const u64> words); ///< u64 count + words
+    void Str(const std::string &s);          ///< u32 length + bytes
+    void Words(std::span<const u64> words);  ///< the words, one memcpy
 
   private:
     std::vector<u8> &out_;
@@ -213,7 +225,9 @@ class Reader
     u32 U32();
     u64 U64();
     std::string Str(std::size_t max_bytes = kMaxStringBytes);
-    std::vector<u64> Words(std::size_t max_words);
+    /** Fill @p out from the next out.size() words: one bounds check,
+     *  one memcpy. */
+    void Words(std::span<u64> out);
 
     std::size_t remaining() const { return data_.size() - pos_; }
 
@@ -227,6 +241,85 @@ class Reader
     std::span<const u8> data_;
     std::size_t pos_ = 0;
 };
+
+// ---------------------------------------------------------------------
+// Building blocks shared by the Wire* codec below and serve/serde.h's
+// direct codec, so each structural rule of the format exists once.
+// The Get* readers throw kInvalidArgument through the Reader; run them
+// under DecodeGuard.
+// ---------------------------------------------------------------------
+
+/** Throw kInvalidArgument with @p message (a malformed payload). */
+[[noreturn]] void RaiseDecode(const std::string &message);
+
+/** Run a throwing decode body, returning its value or the failure as
+ *  kInvalidArgument framed with @p what — whatever the inner throw. */
+template <typename T, typename Fn>
+[[nodiscard]] Result<T>
+DecodeGuard(const char *what, Fn &&body)
+{
+    try {
+        return body();
+    } catch (...) {
+        Status status = CurrentExceptionToStatus().WithFrame(what);
+        if (status.code() != ErrorCode::kInvalidArgument) {
+            status = Status(ErrorCode::kInvalidArgument, status.ToString())
+                         .WithFrame(what);
+        }
+        return status;
+    }
+}
+
+/** The fixed fields in front of one polynomial's words:
+ *  [u64 degree][u32 prime_count][u8 domain][u8 lazy][u64 word count]. */
+struct PolyHeader {
+    u64 degree = 0;
+    u32 prime_count = 0;
+    u8 domain = 0;  ///< 0 coefficient, 1 evaluation
+    u8 lazy = 0;
+    u64 words = 0;  ///< prime_count x degree, limb-major
+};
+
+/** Encoded size of one polynomial of @p words words. */
+inline constexpr std::size_t
+PolyBytes(std::size_t words)
+{
+    return 22 + 8 * words;
+}
+
+void PutPolyHeader(Writer &w, const PolyHeader &header);
+
+/** Read a poly header and check it against the format's caps: degree
+ *  and prime count within kMaxDegree/kMaxPrimeCount, 0/1 flags, a word
+ *  count matching the shape, and that many words still in the payload
+ *  (so no caller allocates for words that are not there). */
+PolyHeader GetPolyHeader(Reader &r);
+
+/** A ciphertext's part count, in [1, kMaxCiphertextParts]. */
+u32 GetPartCount(Reader &r);
+
+/** A program's or reply's ciphertext count, at most kMaxProgramOps. */
+u32 GetCiphertextCount(Reader &r, const char *what);
+
+/** Encoded size of a program's ops and outputs: two u32 counts, 9 bytes
+ *  per op ([u8 op][u32 a][u32 b]) and 4 per output slot. */
+inline constexpr std::size_t
+ProgramTailBytes(std::size_t ops, std::size_t outputs)
+{
+    return 8 + 9 * ops + 4 * outputs;
+}
+
+/** A program's ops and output slots: everything after its inputs. */
+void PutProgramTail(Writer &w, std::span<const WireProgram::Op> ops,
+                    std::span<const u32> outputs);
+
+/** Read a program tail after @p input_count inputs, checking opcodes
+ *  and that every slot reference points at an input or an earlier op
+ *  (a DAG by construction, so the evaluator never sees a forward
+ *  edge). */
+void GetProgramTail(Reader &r, u32 input_count,
+                    std::vector<WireProgram::Op> &ops,
+                    std::vector<u32> &outputs);
 
 // ---------------------------------------------------------------------
 // Message codecs. Encode* builds a payload; Decode* parses one and
@@ -249,6 +342,10 @@ std::vector<u8> EncodeRelinKey(const WireRelinKey &rk);
 [[nodiscard]] Result<WireRelinKey>
 DecodeRelinKey(std::span<const u8> payload);
 
+/** The Wire* ciphertext codecs (programs, ciphertexts, ciphertext
+ *  lists) are the format's test oracle: the request path uses
+ *  serve/serde.h's direct codec, which writes the same bytes. They stay
+ *  for test_serve_protocol and the e2e benchmark's replay. */
 std::vector<u8> EncodeProgram(const WireProgram &program);
 [[nodiscard]] Result<WireProgram>
 DecodeProgram(std::span<const u8> payload);
@@ -303,7 +400,9 @@ DecodeFrameFromBuffer(std::span<const u8> data, std::size_t &consumed);
  *  EOF or error. */
 [[nodiscard]] Status ReadAll(int fd, std::span<u8> data);
 
-/** Write one frame. */
+/** Write one frame: header and payload as two iovecs of one sendmsg
+ *  loop, so the payload is never copied behind the header.
+ *  kUnavailable on a closed/failed peer — never a SIGPIPE. */
 [[nodiscard]] Status WriteFrame(int fd, const Frame &frame);
 
 /**

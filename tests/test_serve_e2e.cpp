@@ -253,6 +253,67 @@ TEST_F(ServeE2E, ConcurrentClientsCoalesceIntoSharedBatches)
     EXPECT_EQ(stats.coalesced_requests, 5u);
 }
 
+TEST_F(ServeE2E, ByteBudgetSplitsLargeRingBatches)
+{
+    // As above, with N=1024 x 2 limbs: each Add request carries two
+    // 32 KiB ciphertexts, so four fill kBatchInputBytes and the fifth
+    // queued request starts a second batch, while the six N=64 requests
+    // above (6 KiB each) still share one batch of five.
+    StartDaemon("budget");
+    he::HeParams params = SmallParams();
+    params.degree = 1024;
+    params.prime_count = 2;
+    constexpr int kClients = 6;
+    std::vector<std::unique_ptr<Client>> clients;
+    std::vector<std::unique_ptr<he::BgvScheme>> schemes;
+    std::vector<he::SecretKey> keys;
+    std::vector<he::Ciphertext> cts;
+    for (int c = 0; c < kClients; ++c) {
+        clients.push_back(NewClient());
+        ASSERT_NE(clients.back(), nullptr);
+        Result<u64> session = clients.back()->CreateSession(params);
+        ASSERT_TRUE(session.ok()) << session.status().ToString();
+        schemes.push_back(std::make_unique<he::BgvScheme>(
+            clients.back()->context(), /*seed=*/200 + c));
+        keys.push_back(schemes.back()->KeyGen());
+        cts.push_back(schemes.back()->Encrypt(
+            keys.back(),
+            he::Plaintext(params.degree, static_cast<u64>(c + 1))));
+    }
+    ASSERT_EQ(2 * cts.front().parts.size() *
+                  cts.front().parts.front().flat().size_bytes(),
+              kBatchInputBytes / 4);
+    std::vector<u64> requests;
+    {
+        MutexLock hold(daemon_->coalescer().arena()->mutex());
+        for (int c = 0; c < kClients; ++c) {
+            Result<u64> request = clients[c]->SubmitGraph(
+                {cts[c], cts[c]}, {{WireOp::kAdd, 0, 1}}, {2});
+            ASSERT_TRUE(request.ok()) << request.status().ToString();
+            requests.push_back(*request);
+            if (c == 0) {
+                ASSERT_TRUE(EventuallyTrue([this] {
+                    return daemon_->Stats().batches_executed == 1;
+                }));
+            }
+        }
+    }
+    for (int c = 0; c < kClients; ++c) {
+        Result<std::vector<he::Ciphertext>> outputs =
+            clients[c]->AwaitDone(requests[c]);
+        ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+        EXPECT_EQ(schemes[c]->Decrypt(keys[c], outputs->front()),
+                  he::Plaintext(params.degree,
+                                static_cast<u64>(2 * (c + 1))))
+            << "client " << c;
+    }
+    const WireStats stats = daemon_->Stats();
+    EXPECT_EQ(stats.requests_completed, static_cast<u64>(kClients));
+    EXPECT_EQ(stats.batches_executed, 3u);
+    EXPECT_EQ(stats.max_batch_observed, 4u);
+    EXPECT_EQ(stats.coalesced_requests, 4u);
+}
+
 TEST_F(ServeE2E, ErrorsArriveAsStatusWithDaemonProvenance)
 {
     StartDaemon("errors");

@@ -11,6 +11,10 @@
  * lengths, bad versions, and raw random bytes, asserting the failure
  * taxonomy holds case by case.
  *
+ * The direct codec (serve/serde.h), which the request path uses, must
+ * write the Wire* codec's bytes and decode them back against a small
+ * HE context; the adversarial properties feed it the same attacks.
+ *
  * Extended-depth runs (the pbt-extended CI leg) scale every property
  * through HENTT_PBT_CASES=xN like the other property suites.
  */
@@ -20,10 +24,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "pbt.h"
+#include "serve/serde.h"
 #include "serve/wire.h"
 
 namespace hentt::serve {
@@ -56,6 +63,84 @@ RandomCiphertext(Xoshiro256 &rng)
         ct.parts.push_back(RandomPoly(rng));
     }
     return ct;
+}
+
+/** The context the direct codec decodes against: N=16, 3 primes. */
+const he::HeContext &
+TestContext()
+{
+    static const std::shared_ptr<const he::HeContext> ctx = [] {
+        he::HeParams params;
+        params.degree = 16;
+        params.prime_count = 3;
+        params.prime_bits = 50;
+        params.plain_modulus = 257;
+        return std::make_shared<const he::HeContext>(params);
+    }();
+    return *ctx;
+}
+
+/** A poly valid for TestContext() at @p prime_count limbs: residues
+ *  below p, or below 4p on a lazy evaluation-domain poly. */
+WirePoly
+RandomValidPoly(Xoshiro256 &rng, u32 prime_count)
+{
+    const he::HeContext &ctx = TestContext();
+    WirePoly poly;
+    poly.degree = ctx.degree();
+    poly.prime_count = prime_count;
+    poly.domain = static_cast<u8>(rng.NextBelow(2));
+    poly.lazy = poly.domain == 1 ? static_cast<u8>(rng.NextBelow(2))
+                                 : u8{0};
+    const RnsBasis &basis = ctx.level_context(prime_count)->basis();
+    for (u32 l = 0; l < prime_count; ++l) {
+        const u64 bound = (poly.lazy != 0 ? 4 : 1) * basis.prime(l);
+        for (u64 i = 0; i < poly.degree; ++i) {
+            poly.words.push_back(rng.NextBelow(bound));
+        }
+    }
+    return poly;
+}
+
+/** A 2- or 3-part ciphertext valid for TestContext(), all parts at one
+ *  random level. */
+WireCiphertext
+RandomValidCiphertext(Xoshiro256 &rng)
+{
+    const u32 level = 1 + static_cast<u32>(rng.NextBelow(3));
+    WireCiphertext ct;
+    const std::size_t parts = 2 + rng.NextBelow(2);
+    for (std::size_t i = 0; i < parts; ++i) {
+        ct.parts.push_back(RandomValidPoly(rng, level));
+    }
+    return ct;
+}
+
+he::Ciphertext
+ToCiphertext(const WireCiphertext &wct)
+{
+    Result<he::Ciphertext> ct = CiphertextFromWire(TestContext(), wct);
+    EXPECT_TRUE(ct.ok()) << ct.status().ToString();
+    return ct.ok() ? std::move(*ct) : he::Ciphertext{};
+}
+
+/** Random ops over @p inputs input slots, each referencing only
+ *  earlier slots, and one output slot. */
+void
+RandomOps(Xoshiro256 &rng, std::size_t inputs,
+          std::vector<WireProgram::Op> &ops, std::vector<u32> &outputs)
+{
+    const std::size_t op_count = rng.NextBelow(6);
+    for (std::size_t i = 0; i < op_count; ++i) {
+        WireProgram::Op op;
+        op.op = static_cast<WireOp>(rng.NextBelow(6));
+        const u32 limit = static_cast<u32>(inputs + i);
+        op.a = static_cast<u32>(rng.NextBelow(limit));
+        op.b = static_cast<u32>(rng.NextBelow(limit));
+        ops.push_back(op);
+    }
+    outputs.push_back(
+        static_cast<u32>(rng.NextBelow(inputs + op_count)));
 }
 
 std::string
@@ -164,18 +249,7 @@ HENTT_PBT_PROP(ServeProtocol, ProgramRoundTrip, 200,
     for (std::size_t i = 0; i < inputs; ++i) {
         program.inputs.push_back(RandomCiphertext(rng));
     }
-    const std::size_t op_count = rng.NextBelow(6);
-    for (std::size_t i = 0; i < op_count; ++i) {
-        WireProgram::Op op;
-        op.op = static_cast<WireOp>(rng.NextBelow(6));
-        // Valid slot references only: earlier slots.
-        const u32 limit = static_cast<u32>(inputs + i);
-        op.a = static_cast<u32>(rng.NextBelow(limit));
-        op.b = static_cast<u32>(rng.NextBelow(limit));
-        program.ops.push_back(op);
-    }
-    const u32 slots = static_cast<u32>(inputs + op_count);
-    program.outputs.push_back(static_cast<u32>(rng.NextBelow(slots)));
+    RandomOps(rng, inputs, program.ops, program.outputs);
     Result<WireProgram> out = DecodeProgram(EncodeProgram(program));
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     ASSERT_EQ(out->inputs.size(), program.inputs.size());
@@ -186,6 +260,97 @@ HENTT_PBT_PROP(ServeProtocol, ProgramRoundTrip, 200,
         EXPECT_EQ(out->ops[i].b, program.ops[i].b);
     }
     EXPECT_EQ(out->outputs, program.outputs);
+}
+
+HENTT_PBT_PROP(ServeProtocol, DirectCodecWritesTheWireCodecsBytes, 100,
+               (hentt::Xoshiro256 &rng, hentt::u64))
+{
+    // The request path's codec must be a faster route to the same
+    // bytes: its encoders against the Wire* encoders over ToWire, its
+    // decoders against the values encoded.
+    std::vector<he::Ciphertext> cts;
+    WireProgram program;
+    const std::size_t inputs = 1 + rng.NextBelow(3);
+    for (std::size_t i = 0; i < inputs; ++i) {
+        cts.push_back(ToCiphertext(RandomValidCiphertext(rng)));
+        program.inputs.push_back(ToWire(cts.back()));
+    }
+    RandomOps(rng, inputs, program.ops, program.outputs);
+
+    const std::vector<u8> bytes =
+        EncodeProgram(cts, program.ops, program.outputs);
+    EXPECT_EQ(bytes, EncodeProgram(program));
+    Result<DecodedProgram> back = DecodeProgram(TestContext(), bytes);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->inputs.size(), cts.size());
+    for (std::size_t i = 0; i < cts.size(); ++i) {
+        EXPECT_TRUE(
+            SameCiphertext(ToWire(back->inputs[i]), program.inputs[i]));
+    }
+    ASSERT_EQ(back->ops.size(), program.ops.size());
+    for (std::size_t i = 0; i < program.ops.size(); ++i) {
+        EXPECT_EQ(back->ops[i].op, program.ops[i].op);
+        EXPECT_EQ(back->ops[i].a, program.ops[i].a);
+        EXPECT_EQ(back->ops[i].b, program.ops[i].b);
+    }
+    EXPECT_EQ(back->outputs, program.outputs);
+
+    const std::vector<u8> list = EncodeCiphertextList(cts);
+    EXPECT_EQ(list, EncodeCiphertextList(program.inputs));
+    Result<std::vector<he::Ciphertext>> list_back =
+        DecodeCiphertextList(TestContext(), list);
+    ASSERT_TRUE(list_back.ok()) << list_back.status().ToString();
+    ASSERT_EQ(list_back->size(), cts.size());
+    for (std::size_t i = 0; i < cts.size(); ++i) {
+        EXPECT_TRUE(
+            SameCiphertext(ToWire((*list_back)[i]), program.inputs[i]));
+    }
+}
+
+HENTT_PBT_PROP(ServeProtocol, DirectDecodersRejectOutOfContractPolys, 200,
+               (hentt::Xoshiro256 &rng, hentt::u64 case_index))
+{
+    // Well-formed bytes carrying a value the kernels must never see:
+    // both direct decoders, and CiphertextFromWire, answer
+    // kInvalidArgument for each.
+    WireCiphertext wct = RandomValidCiphertext(rng);
+    WirePoly &part = wct.parts[rng.NextBelow(wct.parts.size())];
+    switch (case_index % 4) {
+      case 0: {
+        // A residue at or past its bound: p, or 4p on a lazy row.
+        const u32 limb = static_cast<u32>(rng.NextBelow(part.prime_count));
+        const u64 p = TestContext().level_context(3)->basis().prime(limb);
+        const u64 bound = part.lazy != 0 ? 4 * p : p;
+        part.words[limb * part.degree + rng.NextBelow(part.degree)] =
+            bound + rng.NextBelow(p);
+        break;
+      }
+      case 1:
+        part.domain = 0;
+        part.lazy = 1;
+        break;
+      case 2:
+        // Another level for one part only.
+        part = RandomValidPoly(rng, 1 + (part.prime_count % 3));
+        break;
+      default:
+        part.degree = rng.NextBelow(2) == 0 ? 8 : 32;
+        part.words.resize(part.degree * part.prime_count);
+        break;
+    }
+    const auto rejected = [](const auto &result) {
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument)
+            << result.status().ToString();
+    };
+    WireProgram program;
+    program.inputs.push_back(wct);
+    program.ops.push_back({WireOp::kAdd, 0, 0});
+    program.outputs.push_back(1);
+    rejected(DecodeProgram(TestContext(), EncodeProgram(program)));
+    rejected(DecodeCiphertextList(TestContext(),
+                                  EncodeCiphertextList({wct})));
+    rejected(CiphertextFromWire(TestContext(), wct));
 }
 
 HENTT_PBT_PROP(ServeProtocol, StatusRoundTrip, 200,
@@ -342,22 +507,25 @@ class SocketPair
     ~SocketPair()
     {
         CloseWriter();
-        ::close(fds_[1]);
+        CloseReader();
     }
     SocketPair(const SocketPair &) = delete;
     SocketPair &operator=(const SocketPair &) = delete;
 
     int writer() const { return fds_[0]; }
     int reader() const { return fds_[1]; }
-    void CloseWriter()
+    void CloseWriter() { Close(0); }
+    void CloseReader() { Close(1); }
+
+  private:
+    void Close(int end)
     {
-        if (fds_[0] >= 0) {
-            ::close(fds_[0]);
-            fds_[0] = -1;
+        if (fds_[end] >= 0) {
+            ::close(fds_[end]);
+            fds_[end] = -1;
         }
     }
 
-  private:
     int fds_[2] = {-1, -1};
 };
 
@@ -417,6 +585,22 @@ TEST(ServeProtocol, OverCapLengthRejectedFromTheHeaderAlone)
         << got.status().ToString();
 }
 
+TEST(ServeProtocol, WriteToAVanishedPeerReturnsUnavailable)
+{
+    // With the default SIGPIPE action a write that raised SIGPIPE would
+    // kill this process; WriteFrame must answer a Status instead (the
+    // daemon's connection threads rely on it).
+    std::signal(SIGPIPE, SIG_DFL);
+    SocketPair pair;
+    pair.CloseReader();
+    Frame frame;
+    frame.type = FrameType::kDone;
+    frame.payload.assign(4u << 20, 0x5a);
+    const Status sent = WriteFrame(pair.writer(), frame);
+    ASSERT_FALSE(sent.ok());
+    EXPECT_EQ(sent.code(), ErrorCode::kUnavailable) << sent.ToString();
+}
+
 // ------------------------------------------------------ adversarial bytes
 
 HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
@@ -425,7 +609,8 @@ HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
     // Build one valid payload of each kind, cut it anywhere, and
     // require a clean kInvalidArgument from every decoder.
     std::vector<u8> payload;
-    switch (case_index % 5) {
+    std::vector<he::Ciphertext> cts;
+    switch (case_index % 7) {
       case 0: {
         WireParams params;
         params.degree = 64;
@@ -446,8 +631,16 @@ HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
             Status(ErrorCode::kInternal, "boom").WithFrame("inner"));
         break;
       }
-      default:
+      case 4:
         payload = EncodeStats(WireStats{});
+        break;
+      case 5:
+        cts.push_back(ToCiphertext(RandomValidCiphertext(rng)));
+        payload = EncodeProgram(cts, {{WireOp::kMul, 0, 0}}, {1});
+        break;
+      default:
+        cts.push_back(ToCiphertext(RandomValidCiphertext(rng)));
+        payload = EncodeCiphertextList(cts);
         break;
     }
     ASSERT_FALSE(payload.empty());
@@ -461,7 +654,7 @@ HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
                   ErrorCode::kInvalidArgument)
             << result.status().ToString();
     };
-    switch (case_index % 5) {
+    switch (case_index % 7) {
       case 0:
         check(DecodeParams(prefix));
         break;
@@ -474,8 +667,14 @@ HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
       case 3:
         check(DecodeStatus(prefix));
         break;
-      default:
+      case 4:
         check(DecodeStats(prefix));
+        break;
+      case 5:
+        check(DecodeProgram(TestContext(), prefix));
+        break;
+      default:
+        check(DecodeCiphertextList(TestContext(), prefix));
         break;
     }
 }
@@ -498,7 +697,7 @@ HENTT_PBT_PROP(ServeProtocol, RandomBytesNeverCrashDecoders, 500,
                 << result.status().ToString();
         }
     };
-    switch (case_index % 8) {
+    switch (case_index % 10) {
       case 0:
         check(DecodeParams(bytes));
         break;
@@ -520,8 +719,14 @@ HENTT_PBT_PROP(ServeProtocol, RandomBytesNeverCrashDecoders, 500,
       case 6:
         check(DecodeStats(bytes));
         break;
-      default:
+      case 7:
         check(DecodeCiphertextList(bytes));
+        break;
+      case 8:
+        check(DecodeProgram(TestContext(), bytes));
+        break;
+      default:
+        check(DecodeCiphertextList(TestContext(), bytes));
         break;
     }
 }
@@ -549,6 +754,24 @@ HENTT_PBT_PROP(ServeProtocol, MutatedProgramNeverCrashes, 300,
         EXPECT_EQ(out.status().code(), ErrorCode::kInvalidArgument)
             << out.status().ToString();
     }
+    // The direct decoder takes the same bytes, and a mutated program
+    // valid for its context, whose flips also reach residues, levels
+    // and lazy flags.
+    const auto check = [](const auto &result) {
+        if (!result.ok()) {
+            EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument)
+                << result.status().ToString();
+        }
+    };
+    check(DecodeProgram(TestContext(), bytes));
+    program.inputs = {RandomValidCiphertext(rng)};
+    bytes = EncodeProgram(program);
+    for (std::size_t i = 0; i < flips; ++i) {
+        bytes[rng.NextBelow(bytes.size())] ^=
+            static_cast<u8>(1 + rng.NextBelow(255));
+    }
+    check(DecodeProgram(bytes));
+    check(DecodeProgram(TestContext(), bytes));
 }
 
 TEST(ServeProtocol, ProgramRejectsForwardSlotReferences)
