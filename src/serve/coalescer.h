@@ -65,16 +65,21 @@ struct BatchConfig {
 /**
  * Input ciphertext bytes an open batch may hold: a request that would
  * take it past this starts or joins another batch (a batch always
- * admits its first request). The reason is cache, not fairness: a Mul
- * wavefront touches about 2.75x its input bytes (the inputs,
- * BatchMul's arena copies and the 3-part outputs), so 256 KiB of input
- * keeps it near 0.7 MB of a 2 MB L2. Rings where one request alone
- * passes the budget (N=4096 x 8 limbs: 1 MiB in; N=65536 x 4 limbs:
- * 8 MiB in) run one request per batch, where four requests in one
- * graph measured 4.2-4.7x one request's time, no gain. A constant, not
- * a BatchConfig field: max_batch stays the one knob.
+ * admits its first request). It bounds memory, not time: the worker
+ * arena keeps its largest batch's working set for good, and small
+ * requests gain nothing from batches past a few. Measured on the e2e
+ * benchmark's tiny workload (N=1024 x 2 limbs, 64 KiB in per request;
+ * 10 alternating runs each, 4-core VM): with no budget its batches
+ * reached 16 requests and the daemon's memory after warm-up read
+ * 8.0 MB; with 512 KiB (8 requests) 6.8 MB, with 256 KiB (4) 6.3 MB,
+ * at the same throughput (8.6-8.7k req/s) and p50 (0.44 ms). 512 KiB
+ * keeps bench_serve's batched arm (64 requests of 4 KiB) at half the
+ * budget. A request that passes it alone (N=4096 x 8 limbs: 1 MiB in;
+ * N=65536 x 4 limbs: 8 MiB in) runs as its own batch, where four
+ * requests in one graph measured 4.2-4.7x one request's time. A
+ * constant, not a BatchConfig field: max_batch stays the one knob.
  */
-inline constexpr std::size_t kBatchInputBytes = 256u << 10;
+inline constexpr std::size_t kBatchInputBytes = 512u << 10;
 
 /** Outcome of polling a request. */
 struct PollResult {

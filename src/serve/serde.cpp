@@ -1,4 +1,4 @@
-/** @file The direct codec and Wire ↔ HE conversions (see serde.h). */
+/** @file The ciphertext codecs and Wire ↔ HE conversions (see serde.h). */
 
 #include "serve/serde.h"
 
@@ -18,11 +18,28 @@ Invalid(const std::string &message, const char *where)
     return Status(ErrorCode::kInvalidArgument, message).WithFrame(where);
 }
 
-/** Throw kInvalidArgument; DecodeGuard frames and returns it. */
+/** Throw kInvalidArgument for a value the session must not take. */
 [[noreturn]] void
 Reject(const std::string &message)
 {
     ThrowStatus(Status(ErrorCode::kInvalidArgument, message));
+}
+
+/**
+ * Run a decode against a session context. A malformed payload or a
+ * rejected value (kInvalidArgument, from the Reader or Reject) comes
+ * back framed with @p what; anything else, such as an allocation
+ * failure for the rows, propagates with its own code.
+ */
+template <typename T, typename Fn>
+Result<T>
+ContextDecode(const char *what, Fn &&body)
+{
+    try {
+        return body();
+    } catch (const InvalidArgumentError &e) {
+        return e.status().WithFrame(what);
+    }
 }
 
 PolyHeader
@@ -39,6 +56,107 @@ HeaderOf(const WirePoly &wp)
     return {wp.degree, wp.prime_count, wp.domain, wp.lazy,
             wp.words.size()};
 }
+
+std::span<const u64>
+WordsOf(const RnsPoly &poly)
+{
+    return poly.flat();
+}
+
+std::span<const u64>
+WordsOf(const WirePoly &wp)
+{
+    return wp.words;
+}
+
+// ---------------------------------------------------------------------
+// Format rules of ciphertexts, programs and lists.
+// ---------------------------------------------------------------------
+
+/** A ciphertext's part count, in [1, kMaxCiphertextParts]. */
+u32
+GetPartCount(Reader &r)
+{
+    const u32 count = r.U32();
+    if (count == 0 || count > kMaxCiphertextParts) {
+        RaiseDecode("ciphertext part count " + std::to_string(count) +
+                    " outside [1, " +
+                    std::to_string(kMaxCiphertextParts) + "]");
+    }
+    return count;
+}
+
+/** A program's ops and output slots: everything after its inputs. */
+void
+PutProgramTail(Writer &w, const std::vector<WireProgram::Op> &ops,
+               const std::vector<u32> &outputs)
+{
+    w.U32(static_cast<u32>(ops.size()));
+    for (const WireProgram::Op &op : ops) {
+        w.U8(static_cast<u8>(op.op));
+        w.U32(op.a);
+        w.U32(op.b);
+    }
+    w.U32(static_cast<u32>(outputs.size()));
+    for (const u32 slot : outputs) {
+        w.U32(slot);
+    }
+}
+
+/** Read a program tail after @p input_count inputs, checking opcodes
+ *  and that every slot reference points at an input or an earlier op
+ *  (a DAG by construction, so the evaluator never sees a forward
+ *  edge). */
+void
+GetProgramTail(Reader &r, u32 input_count,
+               std::vector<WireProgram::Op> &ops, std::vector<u32> &outputs)
+{
+    const u32 op_count = r.U32();
+    if (op_count > kMaxProgramOps) {
+        RaiseDecode("program op count " + std::to_string(op_count) +
+                    " exceeds cap");
+    }
+    ops.reserve(op_count);
+    for (u32 i = 0; i < op_count; ++i) {
+        WireProgram::Op op;
+        const u8 code = r.U8();
+        if (code > static_cast<u8>(WireOp::kRelinModSwitch)) {
+            RaiseDecode("unknown program opcode " + std::to_string(code));
+        }
+        op.op = static_cast<WireOp>(code);
+        op.a = r.U32();
+        op.b = r.U32();
+        const u32 slot_limit = input_count + i;
+        const bool two_operand = op.op == WireOp::kAdd ||
+                                 op.op == WireOp::kSub ||
+                                 op.op == WireOp::kMul;
+        if (op.a >= slot_limit || (two_operand && op.b >= slot_limit)) {
+            RaiseDecode("program op " + std::to_string(i) +
+                        " references a slot >= " +
+                        std::to_string(slot_limit));
+        }
+        ops.push_back(op);
+    }
+    const u32 output_count = r.U32();
+    if (output_count > kMaxProgramOps) {
+        RaiseDecode("program output count " +
+                    std::to_string(output_count) + " exceeds cap");
+    }
+    outputs.reserve(output_count);
+    const u32 slot_limit = input_count + op_count;
+    for (u32 i = 0; i < output_count; ++i) {
+        const u32 slot = r.U32();
+        if (slot >= slot_limit) {
+            RaiseDecode("program output slot " + std::to_string(slot) +
+                        " >= " + std::to_string(slot_limit));
+        }
+        outputs.push_back(slot);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Context rules: what a session can take.
+// ---------------------------------------------------------------------
 
 /**
  * Materialise one polynomial of @p header at the level of @p ctx its
@@ -97,6 +215,14 @@ MakePoly(const he::HeContext &ctx, const PolyHeader &header, Fill &&fill)
     return poly;
 }
 
+RnsPoly
+MakePoly(const he::HeContext &ctx, const WirePoly &wp)
+{
+    return MakePoly(ctx, HeaderOf(wp), [&](std::span<u64> rows) {
+        std::copy(wp.words.begin(), wp.words.end(), rows.begin());
+    });
+}
+
 /** The ciphertext rules on top of the poly ones: 2 or 3 parts (degree
  *  1 or 2), all at the level of the first. */
 void
@@ -116,34 +242,19 @@ CheckSameLevel(u32 first_prime_count, u32 prime_count)
     }
 }
 
-RnsPoly
-MakePoly(const he::HeContext &ctx, const WirePoly &wp)
+WireCiphertext
+GetCiphertext(Reader &r)
 {
-    return MakePoly(ctx, HeaderOf(wp), [&](std::span<u64> rows) {
-        std::copy(wp.words.begin(), wp.words.end(), rows.begin());
-    });
-}
-
-std::size_t
-CiphertextBytes(const he::Ciphertext &ct)
-{
-    std::size_t bytes = 4;
-    for (const RnsPoly &part : ct.parts) {
-        bytes += PolyBytes(part.flat().size());
+    const u32 parts = GetPartCount(r);
+    WireCiphertext ct;
+    ct.parts.reserve(parts);
+    for (u32 i = 0; i < parts; ++i) {
+        ct.parts.push_back(GetPoly(r));
     }
-    return bytes;
+    return ct;
 }
 
-void
-PutCiphertext(Writer &w, const he::Ciphertext &ct)
-{
-    w.U32(static_cast<u32>(ct.parts.size()));
-    for (const RnsPoly &part : ct.parts) {
-        PutPolyHeader(w, HeaderOf(part));
-        w.Words(part.flat());
-    }
-}
-
+/** A ciphertext read straight into RnsPoly rows of @p ctx. */
 he::Ciphertext
 GetCiphertext(Reader &r, const he::HeContext &ctx)
 {
@@ -164,6 +275,110 @@ GetCiphertext(Reader &r, const he::HeContext &ctx)
     return ct;
 }
 
+// ---------------------------------------------------------------------
+// The codecs, once for both ciphertext types (Ct is he::Ciphertext or
+// WireCiphertext; a ciphertext reader is passed in as @p get).
+// ---------------------------------------------------------------------
+
+template <typename Ct>
+std::size_t
+CiphertextBytes(const Ct &ct)
+{
+    std::size_t bytes = 4;
+    for (const auto &part : ct.parts) {
+        bytes += PolyBytes(HeaderOf(part).words);
+    }
+    return bytes;
+}
+
+template <typename Ct>
+void
+PutCiphertext(Writer &w, const Ct &ct)
+{
+    w.U32(static_cast<u32>(ct.parts.size()));
+    for (const auto &part : ct.parts) {
+        PutPolyHeader(w, HeaderOf(part));
+        w.Words(WordsOf(part));
+    }
+}
+
+/** [u32 count][each of @p cts], in a buffer reserved for exactly that
+ *  and @p tail_bytes more. */
+template <typename Ct>
+std::vector<u8>
+PutCiphertexts(const std::vector<Ct> &cts, std::size_t tail_bytes)
+{
+    std::size_t bytes = 4 + tail_bytes;
+    for (const Ct &ct : cts) {
+        bytes += CiphertextBytes(ct);
+    }
+    std::vector<u8> out;
+    out.reserve(bytes);
+    Writer w(out);
+    w.U32(static_cast<u32>(cts.size()));
+    for (const Ct &ct : cts) {
+        PutCiphertext(w, ct);
+    }
+    return out;
+}
+
+template <typename Ct>
+std::vector<u8>
+PutProgram(const std::vector<Ct> &inputs,
+           const std::vector<WireProgram::Op> &ops,
+           const std::vector<u32> &outputs)
+{
+    // The tail: two u32 counts, 9 bytes per op ([u8 op][u32 a][u32 b])
+    // and 4 per output slot.
+    std::vector<u8> out =
+        PutCiphertexts(inputs, 8 + 9 * ops.size() + 4 * outputs.size());
+    Writer w(out);
+    PutProgramTail(w, ops, outputs);
+    return out;
+}
+
+/** [u32 count, at most kMaxProgramOps][ciphertexts], each read by
+ *  @p get. */
+template <typename Get>
+auto
+GetCiphertexts(Reader &r, const char *what, Get &&get)
+{
+    const u32 count = r.U32();
+    if (count > kMaxProgramOps) {
+        RaiseDecode(std::string(what) + " count " +
+                    std::to_string(count) + " exceeds cap");
+    }
+    std::vector<decltype(get(r))> cts;
+    cts.reserve(count);
+    for (u32 i = 0; i < count; ++i) {
+        cts.push_back(get(r));
+    }
+    return cts;
+}
+
+template <typename Program, typename Get>
+Program
+GetProgram(std::span<const u8> payload, Get &&get)
+{
+    Reader r(payload);
+    Program program;
+    program.inputs = GetCiphertexts(r, "program input", get);
+    GetProgramTail(r, static_cast<u32>(program.inputs.size()),
+                   program.ops, program.outputs);
+    r.ExpectEnd();
+    return program;
+}
+
+template <typename Get>
+auto
+GetCiphertextList(std::span<const u8> payload, Get &&get)
+{
+    Reader r(payload);
+    auto cts = GetCiphertexts(r, "ciphertext list", get);
+    r.ExpectEnd();
+    return cts;
+}
+
 }  // namespace
 
 std::vector<u8>
@@ -171,69 +386,83 @@ EncodeProgram(const std::vector<he::Ciphertext> &inputs,
               const std::vector<WireProgram::Op> &ops,
               const std::vector<u32> &outputs)
 {
-    std::size_t bytes = 4 + ProgramTailBytes(ops.size(), outputs.size());
-    for (const he::Ciphertext &ct : inputs) {
-        bytes += CiphertextBytes(ct);
-    }
-    std::vector<u8> out;
-    out.reserve(bytes);
-    Writer w(out);
-    w.U32(static_cast<u32>(inputs.size()));
-    for (const he::Ciphertext &ct : inputs) {
-        PutCiphertext(w, ct);
-    }
-    PutProgramTail(w, ops, outputs);
-    return out;
+    return PutProgram(inputs, ops, outputs);
 }
 
 Result<DecodedProgram>
 DecodeProgram(const he::HeContext &ctx, std::span<const u8> payload)
 {
-    return DecodeGuard<DecodedProgram>("serve::DecodeProgram", [&] {
-        Reader r(payload);
-        DecodedProgram program;
-        const u32 input_count = GetCiphertextCount(r, "program input");
-        program.inputs.reserve(input_count);
-        for (u32 i = 0; i < input_count; ++i) {
-            program.inputs.push_back(GetCiphertext(r, ctx));
-        }
-        GetProgramTail(r, input_count, program.ops, program.outputs);
-        r.ExpectEnd();
-        return program;
+    return ContextDecode<DecodedProgram>("serve::DecodeProgram", [&] {
+        return GetProgram<DecodedProgram>(
+            payload, [&](Reader &r) { return GetCiphertext(r, ctx); });
     });
 }
 
 std::vector<u8>
 EncodeCiphertextList(const std::vector<he::Ciphertext> &cts)
 {
-    std::size_t bytes = 4;
-    for (const he::Ciphertext &ct : cts) {
-        bytes += CiphertextBytes(ct);
-    }
-    std::vector<u8> out;
-    out.reserve(bytes);
-    Writer w(out);
-    w.U32(static_cast<u32>(cts.size()));
-    for (const he::Ciphertext &ct : cts) {
-        PutCiphertext(w, ct);
-    }
-    return out;
+    return PutCiphertexts(cts, 0);
 }
 
 Result<std::vector<he::Ciphertext>>
 DecodeCiphertextList(const he::HeContext &ctx, std::span<const u8> payload)
 {
-    return DecodeGuard<std::vector<he::Ciphertext>>(
+    return ContextDecode<std::vector<he::Ciphertext>>(
         "serve::DecodeCiphertextList", [&] {
-            Reader r(payload);
-            const u32 count = GetCiphertextCount(r, "ciphertext list");
-            std::vector<he::Ciphertext> cts;
-            cts.reserve(count);
-            for (u32 i = 0; i < count; ++i) {
-                cts.push_back(GetCiphertext(r, ctx));
-            }
-            r.ExpectEnd();
-            return cts;
+            return GetCiphertextList(
+                payload, [&](Reader &r) { return GetCiphertext(r, ctx); });
+        });
+}
+
+std::vector<u8>
+EncodeCiphertext(const WireCiphertext &ct)
+{
+    std::vector<u8> out;
+    out.reserve(CiphertextBytes(ct));
+    Writer w(out);
+    PutCiphertext(w, ct);
+    return out;
+}
+
+Result<WireCiphertext>
+DecodeCiphertext(std::span<const u8> payload)
+{
+    return DecodeGuard<WireCiphertext>("serve::DecodeCiphertext", [&] {
+        Reader r(payload);
+        WireCiphertext ct = GetCiphertext(r);
+        r.ExpectEnd();
+        return ct;
+    });
+}
+
+std::vector<u8>
+EncodeProgram(const WireProgram &program)
+{
+    return PutProgram(program.inputs, program.ops, program.outputs);
+}
+
+Result<WireProgram>
+DecodeProgram(std::span<const u8> payload)
+{
+    return DecodeGuard<WireProgram>("serve::DecodeProgram", [&] {
+        return GetProgram<WireProgram>(
+            payload, [](Reader &r) { return GetCiphertext(r); });
+    });
+}
+
+std::vector<u8>
+EncodeCiphertextList(const std::vector<WireCiphertext> &cts)
+{
+    return PutCiphertexts(cts, 0);
+}
+
+Result<std::vector<WireCiphertext>>
+DecodeCiphertextList(std::span<const u8> payload)
+{
+    return DecodeGuard<std::vector<WireCiphertext>>(
+        "serve::DecodeCiphertextList", [&] {
+            return GetCiphertextList(
+                payload, [](Reader &r) { return GetCiphertext(r); });
         });
 }
 
@@ -282,8 +511,8 @@ ToWire(const RnsPoly &poly)
 Result<RnsPoly>
 PolyFromWire(const he::HeContext &ctx, const WirePoly &wp)
 {
-    return DecodeGuard<RnsPoly>("serve::PolyFromWire",
-                                [&] { return MakePoly(ctx, wp); });
+    return ContextDecode<RnsPoly>("serve::PolyFromWire",
+                                  [&] { return MakePoly(ctx, wp); });
 }
 
 WireCiphertext
@@ -300,7 +529,7 @@ ToWire(const he::Ciphertext &ct)
 Result<he::Ciphertext>
 CiphertextFromWire(const he::HeContext &ctx, const WireCiphertext &wct)
 {
-    return DecodeGuard<he::Ciphertext>("serve::CiphertextFromWire", [&] {
+    return ContextDecode<he::Ciphertext>("serve::CiphertextFromWire", [&] {
         CheckPartCount(wct.parts.size());
         he::Ciphertext ct;
         ct.parts.reserve(wct.parts.size());

@@ -1,26 +1,32 @@
 /**
  * @file
- * HE types on the wire, validated against a session context.
+ * HE types on the wire: the ciphertext codecs, and conversions that
+ * validate wire values against a session context.
  *
- * Two codecs live here, both writing the bytes serve/wire.h specifies:
+ * Ciphertexts travel in programs (kSubmitGraph) and ciphertext lists
+ * (kDone). Each codec below is written once, as a template over the
+ * ciphertext type, and instantiated twice with the same bytes:
  *
- *   - the direct codec, which the request path uses: a kSubmitGraph
- *     payload is encoded straight from ciphertext rows and decoded
- *     straight into RnsPoly rows of the session's level contexts, and
- *     the kDone reply likewise, each row one memcpy;
- *   - Wire* ↔ HE conversions, for parameters and relinearization keys
- *     (set-up frames) and for the Wire* ciphertext oracle that
- *     test_serve_protocol and the e2e benchmark's replay use.
+ *   - over he::Ciphertext, which the request path uses: encoded
+ *     straight from RnsPoly rows and decoded straight into rows of the
+ *     session's level contexts, each row one memcpy;
+ *   - over the self-contained Wire* structs, which need no context:
+ *     the format's test oracle, and what the e2e benchmark's replay
+ *     drives.
  *
- * Both make the same checks through one set of helpers. Validation
- * failures — shape mismatch against the session parameters, residues
- * outside a prime's range, a key with the wrong level structure — come
- * back as kInvalidArgument Status, so a hostile or buggy client can
- * never push an out-of-contract value into the kernels.
+ * Decoding against a context makes the same checks as PolyFromWire and
+ * CiphertextFromWire, through the same helper. Validation failures —
+ * shape mismatch against the session parameters, residues outside a
+ * prime's range, a key with the wrong level structure — come back as
+ * kInvalidArgument Status, so a hostile or buggy client can never push
+ * an out-of-contract value into the kernels. Anything else thrown while
+ * decoding against a context (an allocation failure) is not a
+ * malformed payload: it propagates with its own code.
  *
  * Deserialized evaluation-domain polynomials (relin keys travel in the
  * evaluation domain, matching keygen) are relabeled through the
- * sanctioned he::detail::RnsPolyBatchAccess path.
+ * RnsPolyBatchAccess seam — the only way to tag a domain without
+ * running a transform.
  */
 
 #ifndef HENTT_SERVE_SERDE_H
@@ -36,11 +42,10 @@
 namespace hentt::serve {
 
 // ---------------------------------------------------------------------
-// The direct codec (see file comment).
+// Ciphertext codecs over he::Ciphertext, against a session context.
 // ---------------------------------------------------------------------
 
-/** kSubmitGraph payload encoded from @p inputs' rows: the bytes
- *  EncodeProgram(WireProgram) writes for the ToWire of each input. */
+/** kSubmitGraph payload encoded from @p inputs' rows. */
 std::vector<u8> EncodeProgram(const std::vector<he::Ciphertext> &inputs,
                               const std::vector<WireProgram::Op> &ops,
                               const std::vector<u32> &outputs);
@@ -52,11 +57,9 @@ struct DecodedProgram {
     std::vector<u32> outputs;
 };
 
-/**
- * kSubmitGraph payload decoded straight into RnsPoly rows of @p ctx's
- * level contexts, with every check DecodeProgram(WireProgram) and
- * CiphertextFromWire make. kInvalidArgument on any failure.
- */
+/** kSubmitGraph payload decoded straight into RnsPoly rows of @p ctx's
+ *  level contexts. kInvalidArgument on a malformed payload or a value
+ *  CiphertextFromWire would reject. */
 [[nodiscard]] Result<DecodedProgram>
 DecodeProgram(const he::HeContext &ctx, std::span<const u8> payload);
 
@@ -68,6 +71,24 @@ EncodeCiphertextList(const std::vector<he::Ciphertext> &cts);
 [[nodiscard]] Result<std::vector<he::Ciphertext>>
 DecodeCiphertextList(const he::HeContext &ctx,
                      std::span<const u8> payload);
+
+// ---------------------------------------------------------------------
+// The same codecs over the Wire* structs (no context). Decode* returns
+// kInvalidArgument on any malformation and never throws.
+// ---------------------------------------------------------------------
+
+std::vector<u8> EncodeCiphertext(const WireCiphertext &ct);
+[[nodiscard]] Result<WireCiphertext>
+DecodeCiphertext(std::span<const u8> payload);
+
+std::vector<u8> EncodeProgram(const WireProgram &program);
+[[nodiscard]] Result<WireProgram>
+DecodeProgram(std::span<const u8> payload);
+
+std::vector<u8>
+EncodeCiphertextList(const std::vector<WireCiphertext> &cts);
+[[nodiscard]] Result<std::vector<WireCiphertext>>
+DecodeCiphertextList(std::span<const u8> payload);
 
 // ---------------------------------------------------------------------
 // Wire* ↔ HE conversions.

@@ -227,90 +227,14 @@ GetPolyHeader(Reader &r)
     return header;
 }
 
-u32
-GetPartCount(Reader &r)
+WirePoly
+GetPoly(Reader &r)
 {
-    const u32 count = r.U32();
-    if (count == 0 || count > kMaxCiphertextParts) {
-        RaiseDecode("ciphertext part count " + std::to_string(count) +
-                    " outside [1, " +
-                    std::to_string(kMaxCiphertextParts) + "]");
-    }
-    return count;
-}
-
-u32
-GetCiphertextCount(Reader &r, const char *what)
-{
-    const u32 count = r.U32();
-    if (count > kMaxProgramOps) {
-        RaiseDecode(std::string(what) + " count " +
-                    std::to_string(count) + " exceeds cap");
-    }
-    return count;
-}
-
-void
-PutProgramTail(Writer &w, std::span<const WireProgram::Op> ops,
-               std::span<const u32> outputs)
-{
-    w.U32(static_cast<u32>(ops.size()));
-    for (const WireProgram::Op &op : ops) {
-        w.U8(static_cast<u8>(op.op));
-        w.U32(op.a);
-        w.U32(op.b);
-    }
-    w.U32(static_cast<u32>(outputs.size()));
-    for (const u32 slot : outputs) {
-        w.U32(slot);
-    }
-}
-
-void
-GetProgramTail(Reader &r, u32 input_count,
-               std::vector<WireProgram::Op> &ops, std::vector<u32> &outputs)
-{
-    const u32 op_count = r.U32();
-    if (op_count > kMaxProgramOps) {
-        RaiseDecode("program op count " + std::to_string(op_count) +
-                    " exceeds cap");
-    }
-    ops.reserve(op_count);
-    for (u32 i = 0; i < op_count; ++i) {
-        WireProgram::Op op;
-        const u8 code = r.U8();
-        if (code > static_cast<u8>(WireOp::kRelinModSwitch)) {
-            RaiseDecode("unknown program opcode " + std::to_string(code));
-        }
-        op.op = static_cast<WireOp>(code);
-        op.a = r.U32();
-        op.b = r.U32();
-        const u32 slot_limit = input_count + i;
-        const bool two_operand = op.op == WireOp::kAdd ||
-                                 op.op == WireOp::kSub ||
-                                 op.op == WireOp::kMul;
-        if (op.a >= slot_limit || (two_operand && op.b >= slot_limit)) {
-            RaiseDecode("program op " + std::to_string(i) +
-                        " references a slot >= " +
-                        std::to_string(slot_limit));
-        }
-        ops.push_back(op);
-    }
-    const u32 output_count = r.U32();
-    if (output_count > kMaxProgramOps) {
-        RaiseDecode("program output count " +
-                    std::to_string(output_count) + " exceeds cap");
-    }
-    outputs.reserve(output_count);
-    const u32 slot_limit = input_count + op_count;
-    for (u32 i = 0; i < output_count; ++i) {
-        const u32 slot = r.U32();
-        if (slot >= slot_limit) {
-            RaiseDecode("program output slot " + std::to_string(slot) +
-                        " >= " + std::to_string(slot_limit));
-        }
-        outputs.push_back(slot);
-    }
+    const PolyHeader header = GetPolyHeader(r);
+    WirePoly poly{header.degree, header.prime_count, header.domain,
+                  header.lazy, std::vector<u64>(header.words)};
+    r.Words(poly.words);
+    return poly;
 }
 
 namespace {
@@ -348,47 +272,6 @@ PutPoly(Writer &w, const WirePoly &poly)
     PutPolyHeader(w, {poly.degree, poly.prime_count, poly.domain,
                       poly.lazy, poly.words.size()});
     w.Words(poly.words);
-}
-
-WirePoly
-GetPoly(Reader &r)
-{
-    const PolyHeader header = GetPolyHeader(r);
-    WirePoly poly{header.degree, header.prime_count, header.domain,
-                  header.lazy, std::vector<u64>(header.words)};
-    r.Words(poly.words);
-    return poly;
-}
-
-std::size_t
-CiphertextBytes(const WireCiphertext &ct)
-{
-    std::size_t bytes = 4;
-    for (const WirePoly &part : ct.parts) {
-        bytes += PolyBytes(part.words.size());
-    }
-    return bytes;
-}
-
-void
-PutCiphertext(Writer &w, const WireCiphertext &ct)
-{
-    w.U32(static_cast<u32>(ct.parts.size()));
-    for (const WirePoly &part : ct.parts) {
-        PutPoly(w, part);
-    }
-}
-
-WireCiphertext
-GetCiphertext(Reader &r)
-{
-    const u32 count = GetPartCount(r);
-    WireCiphertext ct;
-    ct.parts.reserve(count);
-    for (u32 i = 0; i < count; ++i) {
-        ct.parts.push_back(GetPoly(r));
-    }
-    return ct;
 }
 
 }  // namespace
@@ -431,27 +314,6 @@ DecodePoly(std::span<const u8> payload)
         WirePoly poly = GetPoly(r);
         r.ExpectEnd();
         return poly;
-    });
-}
-
-std::vector<u8>
-EncodeCiphertext(const WireCiphertext &ct)
-{
-    std::vector<u8> out;
-    out.reserve(CiphertextBytes(ct));
-    Writer w(out);
-    PutCiphertext(w, ct);
-    return out;
-}
-
-Result<WireCiphertext>
-DecodeCiphertext(std::span<const u8> payload)
-{
-    return DecodeGuard<WireCiphertext>("serve::DecodeCiphertext", [&] {
-        Reader r(payload);
-        WireCiphertext ct = GetCiphertext(r);
-        r.ExpectEnd();
-        return ct;
     });
 }
 
@@ -514,42 +376,6 @@ DecodeRelinKey(std::span<const u8> payload)
         }
         r.ExpectEnd();
         return rk;
-    });
-}
-
-std::vector<u8>
-EncodeProgram(const WireProgram &program)
-{
-    std::size_t bytes = 4 + ProgramTailBytes(program.ops.size(),
-                                             program.outputs.size());
-    for (const WireCiphertext &ct : program.inputs) {
-        bytes += CiphertextBytes(ct);
-    }
-    std::vector<u8> out;
-    out.reserve(bytes);
-    Writer w(out);
-    w.U32(static_cast<u32>(program.inputs.size()));
-    for (const WireCiphertext &ct : program.inputs) {
-        PutCiphertext(w, ct);
-    }
-    PutProgramTail(w, program.ops, program.outputs);
-    return out;
-}
-
-Result<WireProgram>
-DecodeProgram(std::span<const u8> payload)
-{
-    return DecodeGuard<WireProgram>("serve::DecodeProgram", [&] {
-        Reader r(payload);
-        WireProgram program;
-        const u32 input_count = GetCiphertextCount(r, "program input");
-        program.inputs.reserve(input_count);
-        for (u32 i = 0; i < input_count; ++i) {
-            program.inputs.push_back(GetCiphertext(r));
-        }
-        GetProgramTail(r, input_count, program.ops, program.outputs);
-        r.ExpectEnd();
-        return program;
     });
 }
 
@@ -662,40 +488,6 @@ DecodeU64Payload(std::span<const u8> payload)
     });
 }
 
-std::vector<u8>
-EncodeCiphertextList(const std::vector<WireCiphertext> &cts)
-{
-    std::size_t bytes = 4;
-    for (const WireCiphertext &ct : cts) {
-        bytes += CiphertextBytes(ct);
-    }
-    std::vector<u8> out;
-    out.reserve(bytes);
-    Writer w(out);
-    w.U32(static_cast<u32>(cts.size()));
-    for (const WireCiphertext &ct : cts) {
-        PutCiphertext(w, ct);
-    }
-    return out;
-}
-
-Result<std::vector<WireCiphertext>>
-DecodeCiphertextList(std::span<const u8> payload)
-{
-    return DecodeGuard<std::vector<WireCiphertext>>(
-        "serve::DecodeCiphertextList", [&] {
-            Reader r(payload);
-            const u32 count = GetCiphertextCount(r, "ciphertext list");
-            std::vector<WireCiphertext> cts;
-            cts.reserve(count);
-            for (u32 i = 0; i < count; ++i) {
-                cts.push_back(GetCiphertext(r));
-            }
-            r.ExpectEnd();
-            return cts;
-        });
-}
-
 // ---------------------------------------------------------------------
 // Frame codec.
 // ---------------------------------------------------------------------
@@ -753,10 +545,10 @@ std::vector<u8>
 EncodeFrame(const Frame &frame)
 {
     const std::array<u8, kFrameHeaderBytes> header = FrameHeader(frame);
-    std::vector<u8> out;
-    out.reserve(kFrameHeaderBytes + frame.payload.size());
-    out.insert(out.end(), header.begin(), header.end());
-    out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+    std::vector<u8> out(kFrameHeaderBytes + frame.payload.size());
+    std::copy(header.begin(), header.end(), out.begin());
+    std::copy(frame.payload.begin(), frame.payload.end(),
+              out.begin() + kFrameHeaderBytes);
     return out;
 }
 

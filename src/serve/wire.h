@@ -14,15 +14,12 @@
  * Layering: this file is the *codec* — pure bytes-to-structs and back
  * plus blocking frame I/O over file descriptors, no HE context. Every
  * read is bounds-checked, so any byte string either decodes cleanly or
- * fails with kInvalidArgument (no over-read, no crash). Two codecs
- * share its primitives and write the same bytes:
- *
- *   - the Wire* structs below (plain integers and word vectors), which
- *     make the format property-testable in isolation; serve/serde.h
- *     converts them to real HE types against a context;
- *   - serve/serde.h's direct codec, which the request path uses: it
- *     encodes ciphertexts straight from RnsPoly rows and decodes
- *     straight into them, with no Wire* intermediate.
+ * fails with kInvalidArgument (no over-read, no crash). The Wire*
+ * structs below are plain integers and word vectors, which make the
+ * format property-testable in isolation. serve/serde.h converts them to
+ * HE types against a session context, and holds the ciphertext codecs
+ * (programs and ciphertext lists), each written once for the Wire*
+ * structs and for he::Ciphertext rows on the primitives below.
  *
  * Ciphertext words travel as whole little-endian rows (one bounds check
  * plus memcpy per row), so this build requires a little-endian host.
@@ -243,10 +240,10 @@ class Reader
 };
 
 // ---------------------------------------------------------------------
-// Building blocks shared by the Wire* codec below and serve/serde.h's
-// direct codec, so each structural rule of the format exists once.
-// The Get* readers throw kInvalidArgument through the Reader; run them
-// under DecodeGuard.
+// Building blocks of the polynomial format, shared with
+// serve/serde.h's ciphertext codecs so each rule exists once. The Get*
+// readers throw kInvalidArgument through the Reader; run them under a
+// guard that returns it.
 // ---------------------------------------------------------------------
 
 /** Throw kInvalidArgument with @p message (a malformed payload). */
@@ -295,31 +292,8 @@ void PutPolyHeader(Writer &w, const PolyHeader &header);
  *  (so no caller allocates for words that are not there). */
 PolyHeader GetPolyHeader(Reader &r);
 
-/** A ciphertext's part count, in [1, kMaxCiphertextParts]. */
-u32 GetPartCount(Reader &r);
-
-/** A program's or reply's ciphertext count, at most kMaxProgramOps. */
-u32 GetCiphertextCount(Reader &r, const char *what);
-
-/** Encoded size of a program's ops and outputs: two u32 counts, 9 bytes
- *  per op ([u8 op][u32 a][u32 b]) and 4 per output slot. */
-inline constexpr std::size_t
-ProgramTailBytes(std::size_t ops, std::size_t outputs)
-{
-    return 8 + 9 * ops + 4 * outputs;
-}
-
-/** A program's ops and output slots: everything after its inputs. */
-void PutProgramTail(Writer &w, std::span<const WireProgram::Op> ops,
-                    std::span<const u32> outputs);
-
-/** Read a program tail after @p input_count inputs, checking opcodes
- *  and that every slot reference points at an input or an earlier op
- *  (a DAG by construction, so the evaluator never sees a forward
- *  edge). */
-void GetProgramTail(Reader &r, u32 input_count,
-                    std::vector<WireProgram::Op> &ops,
-                    std::vector<u32> &outputs);
+/** Read one polynomial: its header, then its words. */
+WirePoly GetPoly(Reader &r);
 
 // ---------------------------------------------------------------------
 // Message codecs. Encode* builds a payload; Decode* parses one and
@@ -334,21 +308,9 @@ DecodeParams(std::span<const u8> payload);
 std::vector<u8> EncodePoly(const WirePoly &poly);
 [[nodiscard]] Result<WirePoly> DecodePoly(std::span<const u8> payload);
 
-std::vector<u8> EncodeCiphertext(const WireCiphertext &ct);
-[[nodiscard]] Result<WireCiphertext>
-DecodeCiphertext(std::span<const u8> payload);
-
 std::vector<u8> EncodeRelinKey(const WireRelinKey &rk);
 [[nodiscard]] Result<WireRelinKey>
 DecodeRelinKey(std::span<const u8> payload);
-
-/** The Wire* ciphertext codecs (programs, ciphertexts, ciphertext
- *  lists) are the format's test oracle: the request path uses
- *  serve/serde.h's direct codec, which writes the same bytes. They stay
- *  for test_serve_protocol and the e2e benchmark's replay. */
-std::vector<u8> EncodeProgram(const WireProgram &program);
-[[nodiscard]] Result<WireProgram>
-DecodeProgram(std::span<const u8> payload);
 
 std::vector<u8> EncodeStatus(const Status &status);
 [[nodiscard]] Result<WireStatus>
@@ -360,12 +322,6 @@ DecodeStats(std::span<const u8> payload);
 
 std::vector<u8> EncodeU64Payload(u64 value);
 [[nodiscard]] Result<u64> DecodeU64Payload(std::span<const u8> payload);
-
-/** kDone payload: the requested output ciphertexts in order. */
-std::vector<u8>
-EncodeCiphertextList(const std::vector<WireCiphertext> &cts);
-[[nodiscard]] Result<std::vector<WireCiphertext>>
-DecodeCiphertextList(std::span<const u8> payload);
 
 /** Reassemble a WireStatus into a Status (kOk code maps to an
  *  kInternal error — an Error frame must carry an error). */

@@ -255,13 +255,13 @@ TEST_F(ServeE2E, ConcurrentClientsCoalesceIntoSharedBatches)
 
 TEST_F(ServeE2E, ByteBudgetSplitsLargeRingBatches)
 {
-    // As above, with N=1024 x 2 limbs: each Add request carries two
-    // 32 KiB ciphertexts, so four fill kBatchInputBytes and the fifth
+    // As above, with N=2048 x 2 limbs: each Add request carries two
+    // 64 KiB ciphertexts, so four fill kBatchInputBytes and the fifth
     // queued request starts a second batch, while the six N=64 requests
     // above (6 KiB each) still share one batch of five.
     StartDaemon("budget");
     he::HeParams params = SmallParams();
-    params.degree = 1024;
+    params.degree = 2048;
     params.prime_count = 2;
     constexpr int kClients = 6;
     std::vector<std::unique_ptr<Client>> clients;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Property-based tests of the serving wire codec (serve/wire.h).
+ * Property-based tests of the serving wire codec (serve/wire.h) and
+ * the ciphertext codecs (serve/serde.h).
  *
  * The codec's contract: any byte string either decodes into a valid
  * message or fails with kInvalidArgument (incomplete frame buffers:
@@ -11,9 +12,12 @@
  * lengths, bad versions, and raw random bytes, asserting the failure
  * taxonomy holds case by case.
  *
- * The direct codec (serve/serde.h), which the request path uses, must
- * write the Wire* codec's bytes and decode them back against a small
- * HE context; the adversarial properties feed it the same attacks.
+ * The ciphertext codecs over he::Ciphertext, which the request path
+ * uses, must write the bytes of the same codecs over the Wire* structs
+ * and decode them back against a small HE context; the adversarial
+ * properties feed them the same attacks. An allocation failure inside
+ * a decode against a context must escape as itself, not as a
+ * malformed payload.
  *
  * Extended-depth runs (the pbt-extended CI leg) scale every property
  * through HENTT_PBT_CASES=xN like the other property suites.
@@ -25,13 +29,64 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "pbt.h"
 #include "serve/serde.h"
 #include "serve/wire.h"
+
+// Allocation-failure injection: while g_fail_alloc_in is nonzero, the
+// operator new call on this thread that counts it down to zero throws.
+namespace {
+thread_local std::size_t g_fail_alloc_in = 0;
+}  // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (g_fail_alloc_in != 0 && --g_fail_alloc_in == 0) {
+        throw std::bad_alloc();
+    }
+    if (void *p = std::malloc(size == 0 ? 1 : size)) {
+        return p;
+    }
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace hentt::serve {
 namespace {
@@ -601,9 +656,53 @@ TEST(ServeProtocol, WriteToAVanishedPeerReturnsUnavailable)
     EXPECT_EQ(sent.code(), ErrorCode::kUnavailable) << sent.ToString();
 }
 
+TEST(ServeProtocol, AllocationFailureInAContextDecodeKeepsItsCode)
+{
+    // Decoding against a context allocates the rows it fills. Failing
+    // each of its allocations in turn must throw std::bad_alloc out of
+    // the decoder (the daemon answers kResourceExhausted), never return
+    // kInvalidArgument as if the payload were malformed.
+    Xoshiro256 rng(27);
+    const WireCiphertext wct = RandomValidCiphertext(rng);
+    const std::vector<he::Ciphertext> cts = {ToCiphertext(wct)};
+    const std::vector<u8> program =
+        EncodeProgram(cts, {{WireOp::kAdd, 0, 0}}, {1});
+    const std::vector<u8> list = EncodeCiphertextList(cts);
+    const std::vector<std::function<Status()>> decoders = {
+        [&] { return DecodeProgram(TestContext(), program).status(); },
+        [&] { return DecodeCiphertextList(TestContext(), list).status(); },
+        [&] { return CiphertextFromWire(TestContext(), wct).status(); },
+    };
+    for (std::size_t d = 0; d < decoders.size(); ++d) {
+        std::size_t failed = 0;
+        for (std::size_t nth = 1;; ++nth) {
+            Status status;
+            bool threw = false;
+            g_fail_alloc_in = nth;
+            try {
+                status = decoders[d]();
+            } catch (const std::bad_alloc &) {
+                threw = true;
+            }
+            const bool fired = g_fail_alloc_in == 0;
+            g_fail_alloc_in = 0;
+            EXPECT_TRUE(status.ok())
+                << "decoder " << d << ", allocation " << nth << ": "
+                << status.ToString();
+            EXPECT_EQ(threw, fired) << "decoder " << d << ", allocation "
+                                    << nth;
+            if (!fired) {
+                break;
+            }
+            ++failed;
+        }
+        EXPECT_GT(failed, 0u) << "decoder " << d << " never allocated";
+    }
+}
+
 // ------------------------------------------------------ adversarial bytes
 
-HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
+HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 420,
                (hentt::Xoshiro256 &rng, hentt::u64 case_index))
 {
     // Build one valid payload of each kind, cut it anywhere, and
@@ -679,7 +778,7 @@ HENTT_PBT_PROP(ServeProtocol, TruncatedPayloadsFailCleanly, 300,
     }
 }
 
-HENTT_PBT_PROP(ServeProtocol, RandomBytesNeverCrashDecoders, 500,
+HENTT_PBT_PROP(ServeProtocol, RandomBytesNeverCrashDecoders, 625,
                (hentt::Xoshiro256 &rng, hentt::u64 case_index))
 {
     // Fully random payload bytes: every decoder must return ok or
